@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-full bench bench-smoke race fuzz serve loadtest chaos-smoke cluster-smoke clean
+.PHONY: all build vet lint test test-full bench bench-smoke perf-smoke race fuzz serve loadtest chaos-smoke cluster-smoke clean
 
 # Default: build everything, lint, and run the fast test suite.
 all: build lint test
@@ -40,13 +40,19 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRoute$$|BenchmarkConstructScaling/N=(128|1024)$$' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestRouteAllocationCeiling|TestCandidateBudget16k' .
 
+# Benchmark smoke: the perf module's tests (its own go.mod, so the root
+# `go test ./...` skips it) run every workload at tiny scale and check the
+# seed-1 pinned tree digests of route-mix, serve-cold and cluster-zipf.
+perf-smoke:
+	cd perf && $(GO) test ./...
+
 # Race detector over the packages with Workers > 1 parallel scans, the
 # fallback/cancellation paths, the traced/metered route path (concurrent
 # routes sharing one tracer and registry live in ./internal/core and
 # ./internal/obs), the concurrent routing service, the gcr command, and the
 # public API (verifier always on there). TestMulticoreDigestProperty runs
-# here under -short: it forces the sharded fold-in on and is the test that
-# puts the fold workers under the race detector.
+# here under -short: it routes at Workers 1, 2 and 8 and is the test that
+# puts the parallel best-partner searches under the race detector.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/obs/... ./internal/activity/... ./internal/serve/... ./internal/cluster/... ./internal/lru/... ./cmd/gcr/... ./cmd/gcrd/... .
 

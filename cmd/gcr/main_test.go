@@ -216,9 +216,8 @@ func TestRunObservabilityOutputs(t *testing.T) {
 // TestRunSyntheticInstance drives the -sinks/-placement synthesis path for
 // every placement: the run must route to completion, the manifest must
 // carry the synthetic bench label and sink count, and an identical seed
-// must reproduce the identical result digest. The instance is large enough
-// (>= spatialMinSinks) that the spatial index runs, so -stats must print
-// its search counters.
+// must reproduce the identical result digest. A gated-red route searches
+// the spatial index, so -stats must print its search counters.
 func TestRunSyntheticInstance(t *testing.T) {
 	const n = 256
 	for _, placement := range []string{"uniform", "clustered", "hotspot", "ring"} {

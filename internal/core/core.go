@@ -153,10 +153,10 @@ type Options struct {
 	// residual skew would exceed the budget. 0 — the paper's setting —
 	// routes exact zero skew.
 	SkewBoundPs float64
-	// Workers sets the number of goroutines used for the candidate-pair
-	// cost scans (the O(N²) part of the greedy). 0 uses GOMAXPROCS; 1
-	// forces serial execution. Results are identical regardless of the
-	// worker count.
+	// Workers sets the number of goroutines used for the best-partner
+	// searches of the greedy's initial scan and per-merge rescans. 0 uses
+	// GOMAXPROCS; 1 forces serial execution. Results are identical
+	// regardless of the worker count.
 	Workers int
 	// Reference runs the unaccelerated greedy (no pair-cost memo, no
 	// lower-bound pruning, linear cheapest scan). Output is bit-identical
@@ -275,8 +275,9 @@ type Stats struct {
 	// are not counted.
 	PairMemoStores int
 
-	// Spatial-index counters (spatial.go); all zero when the run used the
-	// exhaustive scan (tiny instances, ActivityDriven, the reference path).
+	// Spatial-index counters (spatial.go); all zero when no fast-path
+	// greedy ran (ActivityDriven, NearestNeighbor, MeansAndMedians, the
+	// reference path, a single sink).
 	IndexSearches   int // quadtree walks (best-partner + fold-in)
 	IndexCandidates int // candidates that reached the per-candidate filter
 	// IndexRegionsVisited counts quadtree regions expanded or scanned —
@@ -410,9 +411,12 @@ func RouteContext(ctx context.Context, in *Instance, opts Options) (*topology.Tr
 
 // usesFastPath reports whether the method is served by the accelerated
 // greedy of fastpath.go (and therefore has the reference greedy to fall
-// back on).
+// back on): the one-pair-at-a-time methods whose pair cost admits the
+// geometric bound the spatial index prunes with. ActivityDriven orders
+// merges by the merged signal probability, which no midpoint distance
+// bounds, so it routes through the reference greedy directly.
 func usesFastPath(m Method) bool {
-	return m != NearestNeighbor && m != MeansAndMedians
+	return m == MinSwitchedCap || m == MinClockCapOnly || m == GreedyDistance
 }
 
 // routeOnce runs one construction attempt end to end: build, embed,
@@ -558,9 +562,9 @@ func (r *router) parallelFor(n int, fn func(i int) error) error {
 
 // parallelForW is parallelFor with a worker identity: fn additionally
 // receives the index w (0 ≤ w < workers) of the goroutine running it, so
-// callers can hand each worker private scratch (walk heaps, fold-in
-// accumulators) without locking. The serial path — one worker, or too few
-// items to be worth the fan-out — always reports w = 0.
+// callers can hand each worker private scratch (its search walker)
+// without locking. The serial path — one worker, or too few items to be
+// worth the fan-out — always reports w = 0.
 func (r *router) parallelForW(n int, fn func(i, w int) error) error {
 	if r.workers <= 1 || n < 64 {
 		for i := 0; i < n; i++ {
@@ -618,7 +622,7 @@ func (r *router) run() (*topology.Tree, error) {
 		root, err = r.runRounds()
 	case r.opts.Method == MeansAndMedians:
 		root, err = r.runMMM()
-	case r.opts.Reference:
+	case r.opts.Reference || !usesFastPath(r.opts.Method):
 		root, err = r.runGreedyReference()
 	default:
 		root, err = r.runGreedyProtected()
@@ -754,7 +758,8 @@ func locsOf(nodes []*topology.Node) []geom.Point {
 // runGreedyReference implements the one-pair-at-a-time schedule of the
 // paper's pseudocode, ordered by pairCost (Equation 3 for MinSwitchedCap,
 // sector distance for GreedyDistance), with no caching or pruning. It is
-// the oracle the fast path in fastpath.go must match bit-for-bit.
+// the oracle the fast path in fastpath.go must match bit-for-bit, the
+// FallbackOnError target, and the engine of ActivityDriven.
 func (r *router) runGreedyReference() (*topology.Node, error) {
 	initStart := time.Now()
 	active := r.makeSinks()
@@ -1077,7 +1082,7 @@ func (r *router) edgeSC(n *topology.Node, l float64, gated bool, parentP float64
 
 // edgeWeight is the factor edgeSC multiplies the edge's wire capacitance
 // by: the activity charged per fF of wire on the edge feeding n. Used by
-// the fast path's geometric lower bound (fastpath.go).
+// the fast path's geometric lower bound (pairCostGated).
 func (r *router) edgeWeight(n *topology.Node, gated bool, parentP float64) float64 {
 	if gated {
 		return n.P

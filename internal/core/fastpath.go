@@ -1,11 +1,12 @@
 // The fast path of the one-pair-at-a-time greedy (PROCEDURE
-// GatedClockRouting). Three layers accelerate the schedule without changing
-// a single output bit relative to runGreedyReference:
+// GatedClockRouting) for the geometric pair costs (MinSwitchedCap,
+// MinClockCapOnly, GreedyDistance). Four layers accelerate the schedule
+// without changing a single output bit relative to runGreedyReference:
 //
 //  1. Pair-cost memo. pairCost(a, b) is a pure function of the two
 //     (immutable once created) nodes, so every evaluated cost is stored in
-//     a per-node row indexed by partner ID and rescans after a merge are
-//     served from the memo instead of re-solving the zero-skew merge.
+//     a bounded per-node row keyed by partner ID and rescans after a merge
+//     are served from the memo instead of re-solving the zero-skew merge.
 //     Rows are keyed owner-first — pairCost is not exactly symmetric under
 //     floating point, and the reference always evaluates (owner, partner)
 //     in that order.
@@ -20,6 +21,10 @@
 //     la+lb ≥ dist(ms(a), ms(b)), so the bound never exceeds the true
 //     Equation-3 cost; candidates it dominates are skipped (counted in
 //     Stats.PairEvalsSkipped) without affecting the selected pair.
+//  4. Spatial index (spatial.go). Candidates come from nearest-first walks
+//     of a quadtree pyramid over the merging segments, whatever the
+//     instance size, and reverse-dependent lists find the nodes a merge
+//     leaves stale without scanning the active set.
 package core
 
 import (
@@ -122,55 +127,39 @@ type memoEntry struct {
 const memoRowCap = 48
 
 // greedyState is the bookkeeping of the fast greedy, indexed by node ID
-// (IDs are dense: 0..n-1 for sinks, then one per merge). It runs in one of
-// two modes: the exhaustive mode (idx == nil) scans all active nodes and
-// memoizes into dense per-owner rows, while the indexed mode generates
-// candidates from the spatial grid and memoizes into bounded compact rows,
-// keeping total memory linear in the instance size.
+// (IDs are dense: 0..n-1 for sinks, then one per merge). Candidates are
+// generated from the spatial grid and pair costs memoized into bounded
+// compact rows, keeping total memory linear in the instance size.
 type greedyState struct {
 	byID  []*topology.Node
 	best  []cand
 	ver   []uint32
 	alive []bool
-	memo  [][]float64 // memo[owner][partner] = pairCost(owner, partner); NaN = absent
 	heap  pairHeap
 	fi    *faultinject.Injector // nil in production
 
-	// Indexed-mode state; all nil/zero in exhaustive mode.
 	idx    *spatialIndex
-	rows   [][]memoEntry // compact memo rows, replacing memo
+	rows   [][]memoEntry // compact memo rows: rows[owner] holds pairCost(owner, ·)
 	deps   [][]int32     // deps[p] = IDs whose best partner is p
 	depPos []int32       // position of id within deps[best[id].partner]
 
-	// Per-worker search scratch (walk heaps, fold-in walkers) plus the
-	// sharded fold-in's serial-probe walker and hoisted shard closure;
-	// foldSeed/foldLevel carry the probe result and frontier level into
-	// the closure. gridScr pools every grid allocation across rebuilds.
-	scratch   []searchScratch
-	probeFold foldWalker
-	shardFn   func(i, w int) error
-	foldSeed  cand
-	foldLevel int
-	gridScr   *spatialScratch
+	// recs[id] is node id's candidate record: its rotated merging-segment
+	// midpoint and radius, the unconditional zero-length-edge cost floor
+	// (zu — includes the control-star term when the §4.3 forced-insertion
+	// rule pins the edge to a gate), the per-λ wire-weight floor and the
+	// star modes' per-arm partner floors. Filled once per node at
+	// registration; the grid cells hold copies, so the hot filter streams
+	// contiguous records instead of reading TRRs and interface calls.
+	recs []candRec
 
-	// Flat per-ID views of the immutable node state the indexed path's
-	// candidate filter reads: rotated merging-segment midpoints and radii,
-	// the unconditional zero-length-edge cost floor (fZU — includes the
-	// control-star term when the §4.3 forced-insertion rule pins the edge
-	// to a gate) and the per-λ wire-weight floor. Filled once per node at
-	// indexAdd so the hot filter touches contiguous float64 slices instead
-	// of TRRs and interface calls.
-	fU, fW, fRad []float64
-	fZU, fWf     []float64
-	// Per-arm partner floors of the star modes: fGF is the exact
-	// zero-length cost of a gated edge into the node (attach + control
-	// star), fA its attach capacitance for the ungated arm (charged at
-	// parentP ≥ either side's P). +Inf marks an arm the gating policy
-	// rules out for that node.
-	fGF, fA []float64
+	// Per-worker best-partner walkers, the serial fold-in walker, and the
+	// grid scratch that pools every grid allocation across rebuilds.
+	scratch []searchScratch
+	fold    foldWalker
+	gridScr *spatialScratch
 
 	// Gating-policy shape resolved at attachIndex (polMode) plus the
-	// scalars the fZU fill rule needs: the per-λ clock wire capacitance
+	// scalars the zu fill rule needs: the per-λ clock wire capacitance
 	// and the forced-insertion threshold (polReduce only).
 	polMode  int
 	cWire    float64
@@ -196,39 +185,39 @@ type greedyState struct {
 	stores *atomic.Int64
 }
 
-func newGreedyState(sinks []*topology.Node, fi *faultinject.Injector) *greedyState {
+// newGreedyState sizes the per-ID tables for the 2n−1 nodes a run creates
+// and builds the spatial index over the sinks.
+func (r *router) newGreedyState(sinks []*topology.Node) *greedyState {
 	capIDs := 2*len(sinks) - 1
 	g := &greedyState{
 		byID:   make([]*topology.Node, capIDs),
 		best:   make([]cand, capIDs),
 		ver:    make([]uint32, capIDs),
 		alive:  make([]bool, capIDs),
-		memo:   make([][]float64, capIDs),
 		heap:   make(pairHeap, 0, 4*len(sinks)),
-		fi:     fi,
-		stores: new(atomic.Int64),
+		fi:     r.opts.FaultInject,
+		stores: &r.memoStores,
 	}
 	for _, n := range sinks {
 		g.byID[n.ID] = n
 		g.alive[n.ID] = true
 	}
+	r.attachIndex(g, sinks)
 	return g
 }
 
 // setBest records n's cheapest partner and pushes a fresh heap entry;
-// older entries for the node become stale via the version counter. In
-// indexed mode it also maintains the reverse-dependent lists and the
-// fold-in upper bound. Must be called from the serial sections only.
+// older entries for the node become stale via the version counter. It
+// also maintains the reverse-dependent lists and the index's monotone
+// best-cost maxima. Must be called from the serial sections only.
 func (g *greedyState) setBest(id int, c cand) {
-	if g.idx != nil {
-		if old := g.best[id].partner; old != nil && g.alive[old.ID] {
-			g.depRemove(old.ID, int32(id))
-		}
-		if c.partner != nil {
-			g.depAdd(c.partner.ID, int32(id))
-		}
-		g.idx.noteBest(int32(id), c.cost)
+	if old := g.best[id].partner; old != nil && g.alive[old.ID] {
+		g.depRemove(old.ID, int32(id))
 	}
+	if c.partner != nil {
+		g.depAdd(c.partner.ID, int32(id))
+	}
+	g.idx.noteBest(int32(id), c.cost)
 	g.best[id] = c
 	g.ver[id]++
 	g.heap.push(heapEntry{cost: g.fi.HeapCost(c.cost), id: int32(id), ver: g.ver[id]})
@@ -251,17 +240,10 @@ func (g *greedyState) depRemove(partnerID int, id int32) {
 	g.deps[partnerID] = l[:last]
 }
 
-// kill retires a merged-away node and releases its memo row (exhaustive
-// mode).
+// kill retires a merged-away node: it leaves the dependent list of its
+// (still live) best partner, leaves the grid, and recycles its memo row
+// and dependent list for future merge nodes.
 func (g *greedyState) kill(id int) {
-	g.alive[id] = false
-	g.memo[id] = nil
-}
-
-// killIndexed retires a merged-away node in indexed mode: it leaves the
-// dependent list of its (still live) best partner, leaves the grid, and
-// recycles its memo row and dependent list for future merge nodes.
-func (g *greedyState) killIndexed(id int) {
 	if p := g.best[id].partner; p != nil && g.alive[p.ID] {
 		g.depRemove(p.ID, int32(id))
 	}
@@ -341,65 +323,36 @@ func (g *greedyState) popCheapest() (*topology.Node, error) {
 }
 
 func (g *greedyState) memoGet(owner, partner int) (float64, bool) {
-	if g.idx != nil {
-		for _, e := range g.rows[owner] {
-			if e.partner == int32(partner) {
-				return e.cost, true
-			}
+	for _, e := range g.rows[owner] {
+		if e.partner == int32(partner) {
+			return e.cost, true
 		}
-		return 0, false
 	}
-	row := g.memo[owner]
-	if partner >= len(row) {
-		return 0, false
-	}
-	c := row[partner]
-	return c, c == c // NaN ⇒ absent
+	return 0, false
 }
 
-// memoSet stores a cost. In exhaustive mode the owner's dense row grows
-// geometrically; in indexed mode the bounded compact row compacts dead
-// partners out and then evicts its oldest entry. Rows are only touched by
-// the goroutine that owns the row's node in the current parallel phase, so
-// no locking is needed (alive is read-only during parallel phases).
+// memoSet stores a cost in the owner's bounded row; a full row compacts
+// dead partners out and then evicts its oldest entry. Rows are only
+// touched by the goroutine that owns the row's node in the current
+// parallel phase, so no locking is needed (alive is read-only during
+// parallel phases).
 func (g *greedyState) memoSet(owner, partner int, cost float64) {
 	g.stores.Add(1)
-	if g.idx != nil {
-		row := g.rows[owner]
+	row := g.rows[owner]
+	if len(row) >= memoRowCap {
+		kept := row[:0]
+		for _, e := range row {
+			if g.alive[e.partner] {
+				kept = append(kept, e)
+			}
+		}
+		row = kept
 		if len(row) >= memoRowCap {
-			kept := row[:0]
-			for _, e := range row {
-				if g.alive[e.partner] {
-					kept = append(kept, e)
-				}
-			}
-			row = kept
-			if len(row) >= memoRowCap {
-				copy(row, row[1:])
-				row = row[:len(row)-1]
-			}
+			copy(row, row[1:])
+			row = row[:len(row)-1]
 		}
-		g.rows[owner] = append(row, memoEntry{partner: int32(partner), cost: cost})
-		return
 	}
-	row := g.memo[owner]
-	if partner >= len(row) {
-		newLen := 2 * len(row)
-		if newLen < partner+1 {
-			newLen = partner + 1
-		}
-		if newLen > len(g.memo) {
-			newLen = len(g.memo)
-		}
-		grown := make([]float64, newLen)
-		copy(grown, row)
-		for i := len(row); i < newLen; i++ {
-			grown[i] = math.NaN()
-		}
-		g.memo[owner] = grown
-		row = grown
-	}
-	row[partner] = cost
+	g.rows[owner] = append(row, memoEntry{partner: int32(partner), cost: cost})
 }
 
 // lbFloor returns partner-independent floors for the edge that would feed
@@ -418,39 +371,14 @@ func (r *router) lbFloor(n *topology.Node) (zero, weight float64) {
 	return zero, 1
 }
 
-// pairCostBounded evaluates pairCost(a, b), unless an admissible
-// geometric lower bound already proves the pair is strictly worse than
-// threshold — then it returns (bound, true, nil) without solving the
-// merge. Two filters run in increasing cost: the partner-independent
-// floors (one distance computation), then the full bound with the real
-// gating decision and merged signal probability. Must mirror pairCost
-// exactly on the evaluation path.
-func (r *router) pairCostBounded(a, b *topology.Node, threshold float64) (float64, bool, error) {
-	if r.opts.Method == GreedyDistance || r.opts.Method == ActivityDriven {
-		// No merge solve involved — the evaluation is already cheap.
-		c, err := r.pairCost(a, b)
-		return c, false, err
-	}
-	if !math.IsInf(threshold, 1) {
-		zeroA, wfA := r.lbFloor(a)
-		zeroB, wfB := r.lbFloor(b)
-		if wfB < wfA {
-			wfA = wfB
-		}
-		cheap := zeroA + zeroB + r.opts.Tech.WireCap(a.MS.Dist(b.MS))*wfA
-		if dominated(cheap, threshold) {
-			return cheap, true, nil
-		}
-	}
-	return r.pairCostGated(a, b, threshold)
-}
-
-// pairCostGated is pairCostBounded without the partner-independent first
-// filter: the indexed path runs the tighter flat-array floor (candFloor)
-// before the memo probe, so repeating the looser filter here would be pure
-// overhead. Evaluation path identical to pairCost.
+// pairCostGated evaluates pairCost(a, b), unless an admissible lower
+// bound with the real gating decision and merged signal probability
+// already proves the pair strictly worse than threshold — then it returns
+// (bound, true, nil) without solving the merge. The cell scans run the
+// cheaper record floor (spatial.go) before it. Evaluation path identical
+// to pairCost.
 func (r *router) pairCostGated(a, b *topology.Node, threshold float64) (float64, bool, error) {
-	if r.opts.Method == GreedyDistance || r.opts.Method == ActivityDriven {
+	if r.opts.Method == GreedyDistance {
 		c, err := r.pairCost(a, b)
 		return c, false, err
 	}
@@ -480,53 +408,6 @@ func (r *router) pairCostGated(a, b *topology.Node, threshold float64) (float64,
 	return r.edgeSC(a, m.LenA, ga, parentP) + r.edgeSC(b, m.LenB, gb, parentP), false, nil
 }
 
-// bestPartnerPruned is bestPartner with the memo and the lower-bound
-// filter: memoized costs are reused, unseen candidates are evaluated only
-// when their bound does not prove them dominated by the running best. The
-// returned cand is the same argmin under the same (cost, ID) tie rule as
-// the reference scan. Safe to call concurrently for distinct n.
-func (r *router) bestPartnerPruned(g *greedyState, n *topology.Node, active []*topology.Node) (cand, error) {
-	out := cand{}
-	found := false
-	for _, m := range active {
-		if m == n {
-			continue
-		}
-		var cost float64
-		if c, ok := g.memoGet(n.ID, m.ID); ok {
-			r.pairCached.Add(1)
-			cost = g.fi.MemoCost(c)
-			// Memoized costs were all computed by pairCost, which never
-			// returns a negative (or NaN) value; a bad read means the row
-			// was corrupted after it was filled.
-			if !(cost >= 0) {
-				return cand{}, invariantf("memo row %d[%d] holds impossible cost %v",
-					n.ID, m.ID, cost)
-			}
-		} else {
-			thr := math.Inf(1)
-			if found {
-				thr = out.cost
-			}
-			c, pruned, err := r.pairCostBounded(n, m, thr)
-			if err != nil {
-				return cand{}, err
-			}
-			if pruned {
-				r.pairSkipped.Add(1)
-				continue
-			}
-			g.memoSet(n.ID, m.ID, c)
-			cost = c
-		}
-		if !found || cost < out.cost || (cost == out.cost && m.ID < out.partner.ID) {
-			out = cand{partner: m, cost: cost}
-			found = true
-		}
-	}
-	return out, nil
-}
-
 // runGreedyProtected runs the fast greedy with a panic barrier: the
 // accelerated path's heap/memo bookkeeping is the only code here with no
 // reference twin, so a panic inside it is converted into an invariant
@@ -545,25 +426,21 @@ func (r *router) runGreedyProtected() (root *topology.Node, err error) {
 // runGreedy is the accelerated one-pair-at-a-time schedule. Outputs —
 // topology, embedding, every float — are bit-identical to
 // runGreedyReference; see the package comment at the top of this file for
-// why each layer preserves that. Large instances with a geometric pair
-// cost dispatch to the spatially indexed loop (spatial.go), which keeps
-// the same contract.
+// why each layer preserves that. It differs from the reference only in
+// how candidates are generated (pyramid walks instead of all-pairs scans)
+// and how stale best-partner entries are found (reverse-dependent lists
+// instead of a full scan); selections, merges and every tie-break are
+// identical.
 func (r *router) runGreedy() (*topology.Node, error) {
 	initStart := time.Now()
 	active := r.makeSinks()
 	if len(active) == 1 {
 		return active[0], nil
 	}
-	g := newGreedyState(active, r.opts.FaultInject)
-	g.stores = &r.memoStores
-	r.attachIndex(g, active)
-	if g.idx != nil {
-		return r.runGreedyIndexed(g, active, initStart)
-	}
-
+	g := r.newGreedyState(active)
 	initial := make([]cand, len(active))
-	if err := r.parallelFor(len(active), func(i int) error {
-		c, err := r.bestPartnerPruned(g, active[i], active)
+	if err := r.parallelForW(len(active), func(i, w int) error {
+		c, err := r.bestPartnerIndexed(g, active[i], w)
 		initial[i] = c
 		return err
 	}); err != nil {
@@ -574,7 +451,17 @@ func (r *router) runGreedy() (*topology.Node, error) {
 	}
 	r.stats.PhaseInit = time.Since(initStart)
 
-	for len(active) > 1 {
+	// Hoisted once: the rescan body shared by every iteration's parallel
+	// phase (stale nodes and results travel through greedyState buffers).
+	rescanFn := func(i, w int) error {
+		c, err := r.bestPartnerIndexed(g, g.staleBuf[i], w)
+		g.rescanBuf[i] = c
+		return err
+	}
+
+	alive := len(active)
+	root := active[0]
+	for alive > 1 {
 		g.fi.CheckPanic()
 		a, err := g.popCheapest()
 		if err != nil {
@@ -595,111 +482,78 @@ func (r *router) runGreedy() (*topology.Node, error) {
 		r.stats.Merges++
 		r.observeMerge(t0, a, b, k, cost, r.stats.Snakes > snakesBefore, len(g.heap))
 
-		out := active[:0]
-		for _, n := range active {
-			if n != a && n != b {
-				out = append(out, n)
+		// Nodes whose cached best partner dies with a or b, collected from
+		// the reverse-dependent lists before kill releases them.
+		stale := g.staleBuf[:0]
+		for _, id := range g.deps[a.ID] {
+			if int(id) != b.ID {
+				stale = append(stale, g.byID[id])
 			}
 		}
-		active = append(out, k)
+		for _, id := range g.deps[b.ID] {
+			if int(id) != a.ID {
+				stale = append(stale, g.byID[id])
+			}
+		}
+		g.staleBuf = stale
+
 		g.kill(a.ID)
 		g.kill(b.ID)
 		g.byID[k.ID] = k
 		g.alive[k.ID] = true
+		r.indexAdd(g, k)
+		alive--
 
-		// Rescan nodes that were paired with a or b; surviving pairs come
-		// out of the memo, so this is mostly lookups.
-		var stale []*topology.Node
-		for _, n := range active[:len(active)-1] {
-			if p := g.best[n.ID].partner; p == a || p == b {
-				stale = append(stale, n)
-			}
+		if g.idx.count <= g.idx.builtAt/2 {
+			r.rebuildIndex(g)
 		}
-		rescan := make([]cand, len(stale))
-		if err := r.parallelFor(len(stale), func(i int) error {
-			c, err := r.bestPartnerPruned(g, stale[i], active)
-			rescan[i] = c
-			return err
-		}); err != nil {
+
+		// Rescan the stale nodes against the new population (k included,
+		// as in the reference); surviving pairs come out of the memo.
+		rescan := g.rescanBuf
+		if cap(rescan) < len(stale) {
+			rescan = make([]cand, len(stale))
+		}
+		rescan = rescan[:len(stale)]
+		g.rescanBuf = rescan
+		if err := r.parallelForW(len(stale), rescanFn); err != nil {
 			return nil, err
 		}
 		for i, n := range stale {
 			g.setBest(n.ID, rescan[i])
 		}
 
-		// Fold in k. Parallel phase: evaluate cost(n, k) unless the bound
-		// proves it cannot improve best[n]. Serial repair: candidates
-		// pruned there may still matter for k's own best partner, so
-		// re-examine them against the evolving ck.
-		others := active[:len(active)-1]
-		costs := make([]float64, len(others))
-		exact := make([]bool, len(others))
-		if err := r.parallelFor(len(others), func(i int) error {
-			n := others[i]
-			c, pruned, err := r.pairCostBounded(n, k, g.best[n.ID].cost)
-			if err != nil {
-				return err
-			}
-			costs[i] = c // exact cost, or the lower bound when pruned
-			exact[i] = !pruned
-			if !pruned {
-				g.memoSet(n.ID, k.ID, c)
-			}
-			return nil
-		}); err != nil {
+		if err := r.foldInIndexed(g, k); err != nil {
 			return nil, err
 		}
-		ck := cand{}
-		found := false
-		fold := func(n *topology.Node, c float64) {
-			if !found || c < ck.cost || (c == ck.cost && n.ID < ck.partner.ID) {
-				ck = cand{partner: n, cost: c}
-				found = true
-			}
+		if debugDepsCheck && alive > 1 {
+			g.checkDeps(r.stats.Merges)
 		}
-		for i, n := range others {
-			if exact[i] {
-				fold(n, costs[i])
-			}
+		root = k
+	}
+	return root, nil
+}
+
+// debugDepsCheck enables the per-merge consistency audit below; test-only.
+var debugDepsCheck = false
+
+func (g *greedyState) checkDeps(merge int) {
+	for id, ok := range g.alive {
+		if !ok {
+			continue
 		}
-		for i, n := range others {
-			if exact[i] {
-				continue
-			}
-			thr := math.Inf(1)
-			if found {
-				if dominated(costs[i], ck.cost) {
-					r.pairSkipped.Add(1)
-					continue
-				}
-				thr = ck.cost
-			}
-			c, pruned, err := r.pairCostBounded(n, k, thr)
-			if err != nil {
-				return nil, err
-			}
-			if pruned {
-				r.pairSkipped.Add(1)
-				continue
-			}
-			g.memoSet(n.ID, k.ID, c)
-			costs[i], exact[i] = c, true
-			fold(n, c)
+		b := g.best[id]
+		if b.partner == nil {
+			panic(fmt.Sprintf("merge %d: alive node %d has nil best partner", merge, id))
 		}
-		for i, n := range others {
-			if !exact[i] {
-				continue // pruned vs best[n]: provably no improvement
-			}
-			// Same rule as the reference fold-in (see runGreedyReference).
-			if costs[i] < g.best[n.ID].cost ||
-				(costs[i] == g.best[n.ID].cost && k.ID < g.best[n.ID].partner.ID) {
-				g.setBest(n.ID, cand{partner: k, cost: costs[i]})
-			}
+		if !g.alive[b.partner.ID] {
+			panic(fmt.Sprintf("merge %d: node %d best partner %d dead", merge, id, b.partner.ID))
 		}
-		g.setBest(k.ID, ck)
-		if debugBestAudit != nil && len(active) > 1 {
-			debugBestAudit(r, g, r.stats.Merges)
+		l := g.deps[b.partner.ID]
+		p := g.depPos[id]
+		if int(p) >= len(l) || l[p] != int32(id) {
+			panic(fmt.Sprintf("merge %d: node %d not at depPos %d of deps[%d] (len %d)",
+				merge, id, p, b.partner.ID, len(l)))
 		}
 	}
-	return active[0], nil
 }

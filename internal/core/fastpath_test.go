@@ -50,9 +50,9 @@ func TestFastPathMatchesReferenceAllModes(t *testing.T) {
 	}
 }
 
-// TestFastPathWorkersEquivalence exercises the pruned evaluation path with
-// Workers > 1 (this is the test the Makefile race target leans on) and
-// checks the result and every counter are schedule-independent.
+// TestFastPathWorkersEquivalence exercises the parallel best-partner
+// searches with Workers > 1 and checks the result and every counter are
+// schedule-independent.
 func TestFastPathWorkersEquivalence(t *testing.T) {
 	in := makeInstance(t, 128, 77)
 	base := Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree, Workers: 1}
@@ -74,9 +74,9 @@ func TestFastPathWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastPathStats checks the new counters are wired and consistent: the
-// memo and the pruner both fire, and every candidate lookup is accounted
-// as exactly one of evaluated / skipped / cached.
+// TestFastPathStats checks the counters are wired and consistent: the memo
+// and the pruner both fire, the hit rate is Cached/(Cached+Stores), and
+// the spatial index accounts for every search.
 func TestFastPathStats(t *testing.T) {
 	in := makeInstance(t, 90, 5)
 	_, s, err := Route(in, Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree})
@@ -92,49 +92,39 @@ func TestFastPathStats(t *testing.T) {
 	if hr := s.CacheHitRate(); hr <= 0 || hr >= 1 {
 		t.Errorf("cache hit rate %v outside (0,1)", hr)
 	}
-	// Regression: the rate is Cached/(Cached+Evals). Pruned candidates
-	// never demand a memoizable merge solve, so PairEvalsSkipped must not
-	// deflate the denominator.
+	// Regression: the rate is Cached/(Cached+Stores). Only lookups that
+	// missed and filled the memo belong in the denominator; pruned
+	// candidates never demand a memoizable merge solve, so
+	// PairEvalsSkipped must not deflate it.
 	if got, want := s.CacheHitRate(),
-		float64(s.PairEvalsCached)/float64(s.PairEvalsCached+s.PairEvals); got != want {
-		t.Errorf("cache hit rate %v, want Cached/(Cached+Evals) = %v", got, want)
+		float64(s.PairEvalsCached)/float64(s.PairEvalsCached+s.PairMemoStores); got != want {
+		t.Errorf("cache hit rate %v, want Cached/(Cached+Stores) = %v", got, want)
 	}
 	if wrong := float64(s.PairEvalsCached) /
-		float64(s.PairEvalsCached+s.PairEvals+s.PairEvalsSkipped); s.CacheHitRate() <= wrong {
+		float64(s.PairEvalsCached+s.PairMemoStores+s.PairEvalsSkipped); s.CacheHitRate() <= wrong {
 		t.Errorf("hit rate %v not above the skip-deflated ratio %v — denominator regressed",
 			s.CacheHitRate(), wrong)
 	}
 	if s.PhaseInit <= 0 || s.PhaseGreedy <= 0 || s.PhaseEmbed <= 0 {
 		t.Errorf("phase timings not recorded: %+v", s)
 	}
-	// 90 sinks is below spatialMinSinks: the exhaustive scan must run and
-	// every index counter must stay zero.
-	if s.IndexSearches != 0 || s.IndexCandidates != 0 || s.IndexRebuilds != 0 {
-		t.Errorf("index counters nonzero on an exhaustive run: %+v", s)
+	// Every geometric route searches the spatial index, 90 sinks included:
+	// its counters must be populated and the neighborhood histogram must
+	// account for every search exactly once.
+	if s.IndexSearches == 0 || s.IndexCandidates == 0 {
+		t.Errorf("indexed run recorded no searches/candidates: %+v", s)
 	}
-
-	// A larger instance goes through the spatial index; its counters must
-	// be populated and the neighborhood histogram must account for every
-	// search exactly once.
-	big := makeInstance(t, 3*spatialMinSinks, 5)
-	_, bs, err := Route(big, Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs.IndexSearches == 0 || bs.IndexCandidates == 0 {
-		t.Errorf("indexed run recorded no searches/candidates: %+v", bs)
-	}
-	if bs.IndexCandidates < bs.IndexSearches {
+	if s.IndexCandidates < s.IndexSearches {
 		t.Errorf("%d candidates over %d searches — counter wiring broken",
-			bs.IndexCandidates, bs.IndexSearches)
+			s.IndexCandidates, s.IndexSearches)
 	}
 	histTotal := 0
-	for _, n := range bs.IndexNeighborhood {
+	for _, n := range s.IndexNeighborhood {
 		histTotal += n
 	}
-	if histTotal != bs.IndexSearches {
+	if histTotal != s.IndexSearches {
 		t.Errorf("neighborhood histogram sums to %d, want IndexSearches = %d",
-			histTotal, bs.IndexSearches)
+			histTotal, s.IndexSearches)
 	}
 
 	ref := Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree, Reference: true}
@@ -183,9 +173,10 @@ func TestPairHeap(t *testing.T) {
 // version bumps or node death instead of returning them.
 func TestLazyDeletion(t *testing.T) {
 	in := makeInstance(t, 3, 1)
-	sinks := (&router{in: in, opts: Options{Tech: tech.Default(), Drivers: BareTree,
-		Method: GreedyDistance}}).makeSinks()
-	g := newGreedyState(sinks, nil)
+	r := &router{in: in, opts: Options{Tech: tech.Default(), Drivers: BareTree,
+		Method: GreedyDistance}}
+	sinks := r.makeSinks()
+	g := r.newGreedyState(sinks)
 	g.setBest(0, cand{partner: sinks[1], cost: 5})
 	g.setBest(1, cand{partner: sinks[0], cost: 5})
 	g.setBest(2, cand{partner: sinks[0], cost: 9})

@@ -8,21 +8,16 @@ import (
 	"repro/internal/tech"
 )
 
-// TestMulticoreDigestProperty is the determinism contract of the sharded
-// fold-in: routing the same instance at Workers ∈ {1, 2, 8} must produce
-// bit-identical trees. The parallel path only engages above
-// parallelFoldMinAlive live nodes, so the gate is lowered to 32 for the
-// test — every fold-in of these ~130–200-sink instances then runs the
-// probe + shard + reduce pipeline, and any schedule-dependent pruning or
-// tie-break would flip a digest.
+// TestMulticoreDigestProperty is the determinism contract of the parallel
+// phases — the initial best-partner scan and the per-merge rescans, which
+// fan out across workers once they hold 64 or more searches: routing the
+// same instance at Workers ∈ {1, 2, 8} must produce bit-identical trees.
+// A search that read state another worker writes, or any
+// schedule-dependent tie-break, would flip a digest.
 //
 // The test runs under -short (with a reduced corpus) on purpose: `make
-// race` leans on it to catch data races between fold workers.
+// race` leans on it to catch data races between search workers.
 func TestMulticoreDigestProperty(t *testing.T) {
-	saved := parallelFoldMinAlive
-	parallelFoldMinAlive = 32
-	defer func() { parallelFoldMinAlive = saved }()
-
 	p := tech.Default()
 	modes := []Options{
 		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree},
@@ -39,7 +34,7 @@ func TestMulticoreDigestProperty(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		kind := kinds[i%len(kinds)]
 		opts := modes[(i/len(kinds))%len(modes)]
-		n := spatialMinSinks + (i*17)%80
+		n := 64 + (i*17)%144
 		name := fmt.Sprintf("%03d-%s-%s-n%d", i, kind, opts.Method, n)
 		in := placedInstance(t, kind, n, uint64(7000+i))
 

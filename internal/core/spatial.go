@@ -3,16 +3,14 @@
 // the Chebyshev metric — topped by a quadtree pyramid of aggregate regions.
 // Best-partner scans become best-first walks down the pyramid that stop as
 // soon as an admissible region bound proves every unexamined node strictly
-// worse than the running best; the all-pairs candidate generation of
-// bestPartnerPruned collapses to a bounded neighborhood whose size no
-// longer grows with the instance.
+// worse than the running best, so the candidates a search examines form a
+// bounded neighborhood whose size no longer grows with the instance. Every
+// geometric route builds the grid whatever its size; a zero-span instance
+// (all sinks at one rotated midpoint) is a one-cell grid.
 //
 // Candidates live in the cells as cache-line-sized records (candRec): the
 // seven floats the hot filter reads travel together, so scanning a cell
-// streams contiguous memory instead of gathering from six flat arrays.
-// The flat arrays are kept as the registration source of truth and as a
-// differential seam — spatialLayoutSoA switches the scan loops back to
-// gathered loads so tests can prove both layouts route bit-identically.
+// streams contiguous memory.
 //
 // Two bound families drive the pruning (both derived in DESIGN.md §11):
 //
@@ -24,11 +22,11 @@
 //     gated trees. Whenever the §4.3 forced-insertion rule is certain to
 //     fire — SubtreeCap ≥ Cap ≥ ForceCap at any merge distance — the edge
 //     is gated under every possible partner and the star term enters the
-//     node's unconditional floor fZU; otherwise fZU falls back to
+//     node's unconditional floor zu; otherwise zu falls back to
 //     AttachCap·P, which both gating arms dominate (an ungated edge is
-//     charged at parentP ≥ P). On top of fZU, the star modes bound the
+//     charged at parentP ≥ P). On top of zu, the star modes bound the
 //     partner side by the minimum over its two gating arms: gated pays the
-//     full star cost fGF plus wire at min(P_q, P_m); ungated pays attach
+//     full star cost gf plus wire at min(P_q, P_m); ungated pays attach
 //     and wire at parentP ≥ P_q. Either way the distance term carries at
 //     least the query's own activity — stop radii no longer depend on the
 //     laziest node in the index.
@@ -48,57 +46,23 @@
 //     running best is always examined, and the argmin under the (cost,
 //     then partner ID) total order is independent of enumeration order.
 //     The selected pair — and therefore every output bit — matches the
-//     exhaustive scan and the reference greedy.
+//     reference greedy's all-pairs scan.
 //   - All index mutations (insert, remove, rebuild, floor updates) happen
-//     in the serial sections of the merge loop; parallel phases only read.
-//   - The parallel fold-in shards disjoint regions across workers and
-//     reduces their results under the same (cost, then partner ID) order.
-//     A candidate that could become the fold's argmin, tie it, or improve
-//     some best[n] is never pruned under any schedule (its bound can
-//     exceed neither threshold), so the reduced result and the applied
-//     improvements are schedule-independent: Workers=N is bit-identical.
+//     in the serial sections of the merge loop; the parallel phases (the
+//     initial scan and the rescans) only read it.
 //
-// Methods whose pair cost has no geometric component (ActivityDriven
-// orders merges by signal probability alone) and tiny or fully degenerate
-// instances keep using the exhaustive scan.
+// ActivityDriven orders merges by signal probability alone, which no
+// midpoint distance bounds, so it routes through the reference greedy.
 package core
 
 import (
-	"fmt"
 	"math"
-	"slices"
-	"time"
 
 	"repro/internal/gating"
 	"repro/internal/topology"
 )
 
-// spatialMinSinks is the smallest instance routed through the spatial
-// index. Below it the exhaustive scan wins outright, and — deliberately —
-// the fault-injection suite keeps exercising the dense-memo path.
-var spatialMinSinks = 128
-
-// spatialLayoutSoA switches the cell-scan loops from the cache-resident
-// candRec fields (AoS) back to gathered loads from the flat per-ID arrays
-// (SoA). Both layouts hold the same immutable values, so routing is
-// bit-identical either way; the seam exists for differential tests and
-// layout benchmarks. Set only between routes (test-only).
-var spatialLayoutSoA = false
-
-// parallelFoldMinAlive gates the sharded fold-in: below this many indexed
-// nodes the serial walk is faster than the fan-out, and small instances
-// keep a single deterministic code path. Package variable so tests can
-// lower it to exercise the parallel fold on small instances.
-var parallelFoldMinAlive = 2048
-
-// usesSpatialIndex reports whether the method's pair cost admits the
-// geometric bound the index prunes with. ActivityDriven orders merges
-// by the merged signal probability, which no midpoint distance bounds.
-func usesSpatialIndex(m Method) bool {
-	return m == MinSwitchedCap || m == MinClockCapOnly || m == GreedyDistance
-}
-
-// Gating-policy shapes the flat candidate filter distinguishes. The star
+// Gating-policy shapes the candidate filter distinguishes. The star
 // modes (polAll, polReduce, polOpaque) are the MinSwitchedCap + GatedTree
 // configurations whose gated edges carry the control-star term.
 const (
@@ -112,8 +76,8 @@ const (
 
 // candRec is one indexed candidate, resident in its grid cell: the seven
 // floats the admissible filter reads plus the node ID, padded to one cache
-// line so a cell scan streams exactly len(cell) lines. All fields are
-// immutable copies of the flat per-ID arrays (a node's merging segment and
+// line so a cell scan streams exactly len(cell) lines. A cell holds an
+// immutable copy of greedyState.recs[id] (a node's merging segment and
 // floor terms never change after creation).
 type candRec struct {
 	u, w, rad float64 // rotated MS midpoint and Chebyshev radius
@@ -149,18 +113,16 @@ type regionAgg struct {
 }
 
 // spatialScratch pools every allocation the grid needs across rebuilds:
-// one aggregate slab for all regions of all levels, plus the cell headers,
-// record slabs and the parallel fold-in's frontier list. Owned by one
-// greedyState; rebuilds recycle it, so O(log n) rebuilds cost O(1)
-// steady-state allocations.
+// one aggregate slab for all regions of all levels, plus the cell headers
+// and record slabs. Owned by one greedyState; rebuilds recycle it, so
+// O(log n) rebuilds cost O(1) steady-state allocations.
 type spatialScratch struct {
-	agg      []regionAgg
-	cellOf   []int32
-	cells    [][]candRec
-	cellCnt  []int32
-	recs     []candRec
-	frontier []int32
-	levels   []qlevel
+	agg     []regionAgg
+	cellOf  []int32
+	cells   [][]candRec
+	cellCnt []int32
+	recs    []candRec
+	levels  []qlevel
 }
 
 // spatialIndex buckets live nodes into a uniform grid over rotated
@@ -354,11 +316,12 @@ type queryCtx struct {
 }
 
 func (g *greedyState) makeQuery(q int) queryCtx {
-	ci, cj := g.idx.coords(g.fU[q], g.fW[q])
+	rec := &g.recs[q]
+	ci, cj := g.idx.coords(rec.u, rec.w)
 	return queryCtx{
 		q: int32(q), qci: ci, qcj: cj,
-		qU: g.fU[q], qW: g.fW[q], qRad: g.fRad[q],
-		qZU: g.fZU[q], qWf: g.fWf[q],
+		qU: rec.u, qW: rec.w, qRad: rec.rad,
+		qZU: rec.zu, qWf: rec.wf,
 		distMode: g.polMode == polDist,
 		starMode: g.polMode >= polAll,
 		cWire:    g.cWire,
@@ -422,80 +385,11 @@ func (x *spatialIndex) regionLB(qc *queryCtx, l int, rg int32, bd int) float64 {
 	return lb
 }
 
-// candFloor returns an admissible lower bound on pairCost(q, m) from the
-// flat per-node arrays: the midpoint Chebyshev distance minus the two
-// radii lower-bounds the merging-segment distance (WireCap is linear),
-// the query side contributes its unconditional zero-length floor fZU plus
-// wire at its own weight, and the partner side is the minimum over its
-// two gating arms — gated pays fGF[m] plus wire at min(P_q, P_m), ungated
-// pays AttachCap and wire at parentP ≥ max(P_q, P_m) ≥ P_q. Arms a mode
-// rules out carry +Inf in fGF/fA and drop out of the minimum. Runs before
-// the memo probe — pruning a memoized candidate is harmless, because the
-// bound proves its cached cost loses the argmin anyway. This is the
-// reference form of the filter both cell-scan loops inline (regionLB is
-// its region-aggregate form). Read-only; safe from parallel scans.
-func (g *greedyState) candFloor(q, m int) float64 {
-	du := g.fU[q] - g.fU[m]
-	if du < 0 {
-		du = -du
-	}
-	dw := g.fW[q] - g.fW[m]
-	if dw > du {
-		du = dw
-	} else if -dw > du {
-		du = -dw
-	}
-	dlb := du - g.fRad[q] - g.fRad[m]
-	if dlb < 0 {
-		dlb = 0
-	}
-	qWf := g.fWf[q]
-	switch {
-	case g.polMode == polDist:
-		return dlb
-	case g.polMode >= polAll:
-		wf := qWf
-		if g.fWf[m] < wf {
-			wf = g.fWf[m]
-		}
-		lb := g.fGF[m] + g.cWire*dlb*wf
-		pm := qWf
-		if g.fWf[m] > pm {
-			pm = g.fWf[m]
-		}
-		if u := g.fA[m]*pm + g.cWire*dlb*qWf; u < lb {
-			lb = u
-		}
-		return g.fZU[q] + lb
-	default:
-		wf := qWf
-		if g.fWf[m] < wf {
-			wf = g.fWf[m]
-		}
-		return g.fZU[q] + g.fZU[m] + g.cWire*dlb*wf
-	}
-}
-
-// attachIndex decides whether this instance takes the indexed path and, if
-// so, builds the grid over the initial sinks, resolves the gating-policy
-// mode of the flat candidate filter, switches the greedy state to
-// per-neighborhood memo rows, and lays out the per-worker search scratch
-// and the memo/dependent slabs. Degenerate instances (all sinks at one
-// rotated midpoint) stay on the exhaustive path.
+// attachIndex resolves the gating-policy mode of the candidate filter,
+// registers every sink's candidate record with its memo row and
+// reverse-dependent list, lays out the per-worker search scratch and the
+// memo/dependent slabs, and builds the grid over the sinks.
 func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
-	if !usesSpatialIndex(r.opts.Method) || len(sinks) < spatialMinSinks {
-		return
-	}
-	minU, maxU := math.Inf(1), math.Inf(-1)
-	minW, maxW := math.Inf(1), math.Inf(-1)
-	for _, n := range sinks {
-		u, w, _ := n.MSKey()
-		minU, maxU = math.Min(minU, u), math.Max(maxU, u)
-		minW, maxW = math.Min(minW, w), math.Max(maxW, w)
-	}
-	if math.Max(maxU-minU, maxW-minW) <= 0 {
-		return
-	}
 	g.cWire = r.opts.Tech.WireCap(1)
 	g.polMode = polClassic
 	switch {
@@ -518,114 +412,86 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 	g.rows = make([][]memoEntry, capIDs)
 	g.deps = make([][]int32, capIDs)
 	g.depPos = make([]int32, capIDs)
-	g.fU = make([]float64, capIDs)
-	g.fW = make([]float64, capIDs)
-	g.fRad = make([]float64, capIDs)
-	g.fZU = make([]float64, capIDs)
-	g.fWf = make([]float64, capIDs)
-	g.fGF = make([]float64, capIDs)
-	g.fA = make([]float64, capIDs)
+	g.recs = make([]candRec, capIDs)
 	// Row and dependent-list slabs: one contiguous carve per sink (merge
 	// nodes recycle freed rows first), three-index capped so append growth
 	// reallocates off-slab instead of aliasing a neighbor.
 	g.rowSlab = make([]memoEntry, len(sinks)*memoRowInit)
 	g.depSlab = make([]int32, len(sinks)*depInit)
-	w := r.workers
-	if w < 1 {
-		w = 1
-	}
-	g.scratch = make([]searchScratch, w)
+	g.scratch = make([]searchScratch, max(r.workers, 1))
 	g.gridScr = &spatialScratch{}
-	// Hoisted once: the parallel fold-in's shard body. Each item resets the
-	// worker's walker to the probe seed, walks one frontier region, and
-	// folds the result into the worker accumulator — so every pruning
-	// decision depends only on the item, never on which worker ran it.
-	g.shardFn = func(i, wk int) error {
-		fw := &g.scratch[wk].fold
-		fw.ck, fw.found = g.foldSeed, true
-		rg := g.idx.scr.frontier[i]
-		fw.region(g.foldLevel, rg, g.idx.regionBD(&fw.qc, g.foldLevel, rg))
-		if fw.err != nil {
-			return fw.err
-		}
-		if c := fw.ck; c.cost < fw.ckAcc.cost ||
-			(c.cost == fw.ckAcc.cost && c.partner.ID < fw.ckAcc.partner.ID) {
-			fw.ckAcc = c
-		}
-		return nil
-	}
 	for _, n := range sinks {
 		r.indexRegister(g, n)
 		g.assignRow(n.ID)
 		g.assignDeps(n.ID)
 	}
-	g.idx = newSpatialGrid(g.gridScr, capIDs, minU, maxU, minW, maxW, len(sinks))
-	g.populateIndex()
-	g.idx.builtAt = g.idx.count
+	g.buildGrid()
 }
 
-// indexRegister fills the flat per-ID filter views of node n: rotated
-// merging-segment key, floor terms, and the star modes' per-arm partner
-// floors. The unconditional zero-length floor fZU is AttachCap·P — what
-// both gating arms dominate — upgraded to the full gated-edge cost
-// including the control star whenever the edge is certainly gated: always
-// under gating.All, and under gating.Reduction when Cap ≥ ForceCap makes
-// the forced-insertion rule fire at any merge distance.
+// indexRegister fills node n's candidate record: rotated merging-segment
+// key, floor terms, and the star modes' per-arm partner floors. The
+// unconditional zero-length floor zu is AttachCap·P — what both gating
+// arms dominate — upgraded to the full gated-edge cost including the
+// control star whenever the edge is certainly gated: always under
+// gating.All, and under gating.Reduction when Cap ≥ ForceCap makes the
+// forced-insertion rule fire at any merge distance.
 //
-// The star modes additionally split the node's floor by gating arm. fGF
-// is the exact zero-length cost of a gated edge into the node — Equation 3
+// The star modes additionally split the node's floor by gating arm. gf is
+// the exact zero-length cost of a gated edge into the node — Equation 3
 // charges it AttachCap·P plus the control-star term, independent of any
-// partner. fA is its attach capacitance, the ungated arm's zero-length
+// partner. a is its attach capacitance, the ungated arm's zero-length
 // multiplier of parentP. An arm the mode rules out holds +Inf: a
-// certainly-gated edge has no ungated arm (fA), gating.None has no gated
-// one (fGF). Serial sections only.
+// certainly-gated edge has no ungated arm (a), gating.None has no gated
+// one (gf). Serial sections only.
 func (r *router) indexRegister(g *greedyState, n *topology.Node) {
-	id := n.ID
 	u, w, rad := n.MSKey()
-	g.fU[id], g.fW[id], g.fRad[id] = u, w, rad
 	zero, wf := r.lbFloor(n)
-	g.fZU[id], g.fWf[id] = zero, wf
-	g.fGF[id], g.fA[id] = math.Inf(1), math.Inf(1)
+	rec := candRec{u: u, w: w, rad: rad, zu: zero, wf: wf,
+		gf: math.Inf(1), a: math.Inf(1), id: int32(n.ID)}
 	if g.polMode >= polAll {
 		if g.polMode != polNever {
 			p := &r.opts.Tech
 			star := r.controller.StarDist(n.MS.Center())
-			g.fGF[id] = n.AttachCap*n.P + (p.CtrlCapPerLambda*star+p.Gate.Cin)*n.Ptr
+			rec.gf = n.AttachCap*n.P + (p.CtrlCapPerLambda*star+p.Gate.Cin)*n.Ptr
 		}
 		if g.polMode == polAll || (g.polMode == polReduce && g.forceCap > 0 && n.Cap >= g.forceCap) {
-			g.fZU[id] = g.fGF[id] // certainly gated: the star is unconditional
+			rec.zu = rec.gf // certainly gated: the star is unconditional
 		} else {
-			g.fA[id] = n.AttachCap // the ungated arm stays possible
+			rec.a = n.AttachCap // the ungated arm stays possible
 		}
 	}
+	g.recs[n.ID] = rec
 }
 
 // indexAdd registers a fresh merge node and enters it into the live grid
 // with its pooled memo and reverse-dependent rows. Serial sections only.
 func (r *router) indexAdd(g *greedyState, n *topology.Node) {
 	r.indexRegister(g, n)
-	g.indexEnter(int32(n.ID))
+	g.idx.insert(g.recs[n.ID])
 	g.assignRow(n.ID)
 	g.assignDeps(n.ID)
 }
 
-// indexEnter inserts an already-registered node into the current grid as a
-// cache-line record built from its flat-array terms.
-func (g *greedyState) indexEnter(id int32) {
-	g.idx.insert(candRec{
-		u: g.fU[id], w: g.fW[id], rad: g.fRad[id],
-		zu: g.fZU[id], wf: g.fWf[id],
-		gf: g.fGF[id], a: g.fA[id],
-		id: id,
-	})
-}
-
-// populateIndex bulk-loads every alive node into a freshly built grid.
-// Cell record arrays are carved from one slab, each with one spare slot so
-// the next post-build insert into the cell stays in place; a cell that
-// outgrows its carve reallocates off-slab, never aliasing a neighbor.
-func (g *greedyState) populateIndex() {
-	idx := g.idx
+// buildGrid builds a fresh grid over the bounding box of every alive
+// node's record and bulk-loads them. Cell record arrays are carved from
+// one slab, each with one spare slot so the next post-build insert into
+// the cell stays in place; a cell that outgrows its carve reallocates
+// off-slab, never aliasing a neighbor.
+func (g *greedyState) buildGrid() {
+	minU, maxU := math.Inf(1), math.Inf(-1)
+	minW, maxW := math.Inf(1), math.Inf(-1)
+	live := 0
+	for id, ok := range g.alive {
+		if !ok {
+			continue
+		}
+		live++
+		rec := &g.recs[id]
+		minU, maxU = math.Min(minU, rec.u), math.Max(maxU, rec.u)
+		minW, maxW = math.Min(minW, rec.w), math.Max(maxW, rec.w)
+	}
+	idx := newSpatialGrid(g.gridScr, len(g.byID), minU, maxU, minW, maxW, live)
+	g.idx = idx
 	scr := idx.scr
 	nc := idx.cols * idx.rows
 	if cap(scr.cellCnt) < nc {
@@ -635,16 +501,13 @@ func (g *greedyState) populateIndex() {
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	total := 0
 	for id, ok := range g.alive {
-		if !ok {
-			continue
+		if ok {
+			ci, cj := idx.coords(g.recs[id].u, g.recs[id].w)
+			cnt[cj*idx.cols+ci]++
 		}
-		ci, cj := idx.coords(g.fU[id], g.fW[id])
-		cnt[cj*idx.cols+ci]++
-		total++
 	}
-	need := total + nc
+	need := live + nc
 	if cap(scr.recs) < need {
 		scr.recs = make([]candRec, need)
 	}
@@ -659,11 +522,11 @@ func (g *greedyState) populateIndex() {
 		off = end
 	}
 	for id, ok := range g.alive {
-		if !ok {
-			continue
+		if ok {
+			idx.insert(g.recs[id])
 		}
-		g.indexEnter(int32(id))
 	}
+	idx.builtAt = idx.count
 }
 
 // rebuildIndex rebuilds the grid over the surviving nodes once the
@@ -672,20 +535,7 @@ func (g *greedyState) populateIndex() {
 // build. Triggered O(log n) times; all backing arrays recycle through the
 // grid scratch.
 func (r *router) rebuildIndex(g *greedyState) {
-	minU, maxU := math.Inf(1), math.Inf(-1)
-	minW, maxW := math.Inf(1), math.Inf(-1)
-	survivors := 0
-	for id, ok := range g.alive {
-		if !ok {
-			continue
-		}
-		survivors++
-		minU, maxU = math.Min(minU, g.fU[id]), math.Max(maxU, g.fU[id])
-		minW, maxW = math.Min(minW, g.fW[id]), math.Max(maxW, g.fW[id])
-	}
-	g.idx = newSpatialGrid(g.gridScr, len(g.byID), minU, maxU, minW, maxW, survivors)
-	g.populateIndex()
-	g.idx.builtAt = g.idx.count
+	g.buildGrid()
 	for id, ok := range g.alive {
 		if !ok {
 			continue
@@ -707,7 +557,7 @@ func (r *router) rebuildIndex(g *greedyState) {
 // visit order only affects which regions get discarded, never the result:
 // strict-dominance discards cannot hide the argmin or a tie under the
 // (cost, then partner ID) total order, so the walk returns the
-// bit-identical partner the exhaustive scan would.
+// bit-identical partner an all-pairs scan would.
 type searchWalker struct {
 	r    *router
 	g    *greedyState
@@ -806,9 +656,17 @@ func (sw *searchWalker) region(l int, rg int32, bd int) {
 
 // scanCell streams one cell's candidate records through the admissible
 // filter, the memo and the gated evaluation, folding each survivor into
-// the running (cost, then partner ID) argmin. candFloor is the reference
-// form of the filter arithmetic (it sits beyond the inliner's budget, so
-// the terms are inlined here over one cache-line record per candidate).
+// the running (cost, then partner ID) argmin. The filter bounds
+// pairCost(q, m) from below: the midpoint Chebyshev distance minus the two
+// radii lower-bounds the merging-segment distance (WireCap is linear), the
+// query side contributes its unconditional zero-length floor zu plus wire
+// at its own weight, and in the star modes the partner side is the
+// minimum over its two gating arms — gated pays gf plus wire at
+// min(P_q, P_m), ungated pays a and wire at parentP ≥ max(P_q, P_m) ≥ P_q.
+// Arms a mode rules out carry +Inf and drop out of the minimum. regionLB
+// is the same bound over region aggregates. The filter runs before the
+// memo probe — pruning a memoized candidate is harmless, because the
+// bound proves its cached cost loses the argmin anyway.
 func (sw *searchWalker) scanCell(c int32) {
 	g, r, n := sw.g, sw.r, sw.n
 	q := n.ID
@@ -816,7 +674,6 @@ func (sw *searchWalker) scanCell(c int32) {
 	qU, qW, qRad := sw.qc.qU, sw.qc.qW, sw.qc.qRad
 	qZU, qWf := sw.qc.qZU, sw.qc.qWf
 	distMode, starMode, cWire := sw.qc.distMode, sw.qc.starMode, sw.qc.cWire
-	soa := spatialLayoutSoA
 	for i := range recs {
 		rec := &recs[i]
 		id := rec.id
@@ -824,15 +681,8 @@ func (sw *searchWalker) scanCell(c int32) {
 			continue
 		}
 		sw.examined++
-		var mu, mw, mrad, mzu, mwf, mgf, ma float64
-		if !soa {
-			mu, mw, mrad = rec.u, rec.w, rec.rad
-			mzu, mwf, mgf, ma = rec.zu, rec.wf, rec.gf, rec.a
-		} else {
-			mu, mw, mrad = g.fU[id], g.fW[id], g.fRad[id]
-			mzu, mwf = g.fZU[id], g.fWf[id]
-			mgf, ma = g.fGF[id], g.fA[id]
-		}
+		mu, mw, mrad := rec.u, rec.w, rec.rad
+		mzu, mwf, mgf, ma := rec.zu, rec.wf, rec.gf, rec.a
 		if sw.found {
 			du := qU - mu
 			if du < 0 {
@@ -908,36 +758,24 @@ func (sw *searchWalker) scanCell(c int32) {
 	}
 }
 
-// searchScratch is one worker's private search state: the best-partner
-// walker and the fold-in walker, padded apart so adjacent workers never
-// share a cache line.
+// searchScratch is one worker's private best-partner walker, padded apart
+// so adjacent workers never share a cache line.
 type searchScratch struct {
 	search searchWalker
-	fold   foldWalker
 	_      [64]byte
 }
 
-// improvement is one deferred best-table rewrite discovered by a fold-in
-// walk: cost(id, k) was strictly below best[id] at walk time. Deferring
-// the applies (sorted by id, strict-< at apply time) makes the serial and
-// sharded fold-ins produce identical best tables: an improvement can never
-// be pruned under any schedule, duplicates collapse under strict <, and
-// apply order is fixed by the sort.
-type improvement struct {
-	id   int32
-	cost float64
-}
-
-// bestPartnerIndexed is bestPartnerPruned driven by the region pyramid: it
-// scans the query's home cell first (a near — hence tight — initial best),
-// then lets the searchWalker descend the pyramid nearest-first, discarding
-// every region whose admissible bound strictly dominates the running best.
-// The neighborhood examined tracks the local density, not N. Candidates go
-// through the same flat admissible filter, memo and gated bound, under the
-// same (cost, then partner ID) argmin as the exhaustive scan; strict-
-// dominance pruning never discards a potential tie, so the returned cand
-// is bit-identical to the exhaustive one. Safe to call concurrently for
-// distinct n with distinct worker indices w; the index is read-only here.
+// bestPartnerIndexed finds n's cheapest partner among the live nodes by a
+// walk of the region pyramid: it scans the query's home cell first (a
+// near — hence tight — initial best), then lets the searchWalker descend
+// the pyramid nearest-first, discarding every region whose admissible
+// bound strictly dominates the running best. The neighborhood examined
+// tracks the local density, not N. Candidates go through the record
+// filter, the memo and the gated bound, under the reference scan's (cost,
+// then partner ID) argmin; strict-dominance pruning never discards a
+// potential tie, so the returned cand is bit-identical to the reference
+// one. Safe to call concurrently for distinct n with distinct worker
+// indices w; the index is read-only here.
 func (r *router) bestPartnerIndexed(g *greedyState, n *topology.Node, w int) (cand, error) {
 	idx := g.idx
 	sw := &g.scratch[w].search
@@ -961,8 +799,8 @@ func (r *router) bestPartnerIndexed(g *greedyState, n *topology.Node, w int) (ca
 
 // foldWalker is the fold-in's region walker: a nearest-first depth-first
 // descent of the pyramid that serves double duty — it computes the fresh
-// node k's own best partner ck and records every strict improvement
-// cost(n, k) < best[n].cost as a deferred rewrite. Costs are evaluated
+// node k's own best partner ck and applies every strict improvement
+// cost(n, k) < best[n].cost as it finds it. Costs are evaluated
 // owner-first as cost(n, k), exactly as the reference fold-in does, and k
 // carries the highest live ID, so ties keep the incumbent and only strict
 // improvements rewrite best[n].
@@ -972,31 +810,25 @@ func (r *router) bestPartnerIndexed(g *greedyState, n *topology.Node, w int) (ca
 // best-cost maximum (≥ best[n] for every occupant). A discarded region
 // therefore provably holds neither k's partner nor an improvable node.
 // Until a first ck exists nothing is pruned — k must always end up with a
-// partner, however expensive.
-//
-// In probe mode the walker stops after the first scanned cell that yields
-// a candidate, seeding the sharded fold-in with a near (hence tight)
-// initial ck. The same walker instance is then reused per shard item.
+// partner, however expensive. An applied improvement only lowers best[n],
+// and n is never visited twice, so applying it mid-walk leaves every
+// pruning threshold the walk still reads admissible.
 type foldWalker struct {
 	r     *router
 	g     *greedyState
 	k     *topology.Node
 	qc    queryCtx
 	ck    cand
-	ckAcc cand // per-worker reduce accumulator under (cost, partner ID)
 	found bool
-	probe bool
-	imps  []improvement
 
 	examined, pops  int
 	skipped, cached int64
 	err             error
 }
 
-func (fw *foldWalker) reset(r *router, g *greedyState, k *topology.Node, qc queryCtx, probe bool) {
-	fw.r, fw.g, fw.k, fw.qc, fw.probe = r, g, k, qc, probe
-	fw.ck, fw.ckAcc, fw.found = cand{}, cand{}, false
-	fw.imps = fw.imps[:0]
+func (fw *foldWalker) reset(r *router, g *greedyState, k *topology.Node, qc queryCtx) {
+	fw.r, fw.g, fw.k, fw.qc = r, g, k, qc
+	fw.ck, fw.found = cand{}, false
 	fw.examined, fw.pops = 0, 0
 	fw.skipped, fw.cached = 0, 0
 	fw.err = nil
@@ -1022,7 +854,7 @@ func (fw *foldWalker) walkRoots() {
 	sortNearest(order[:cnt], bds[:cnt])
 	for i := 0; i < cnt; i++ {
 		fw.region(top, order[i], bds[i])
-		if fw.err != nil || (fw.probe && fw.found) {
+		if fw.err != nil {
 			return
 		}
 	}
@@ -1042,9 +874,6 @@ func sortNearest(rgs []int32, bds []int) {
 // region walks one region of level l at grid distance bd: discard, scan
 // (level 0), or recurse into the live children nearest-first.
 func (fw *foldWalker) region(l int, rg int32, bd int) {
-	if fw.err != nil || (fw.probe && fw.found) {
-		return
-	}
 	idx := fw.g.idx
 	lv := &idx.levels[l]
 	ag := &lv.agg[rg]
@@ -1086,7 +915,7 @@ func (fw *foldWalker) region(l int, rg int32, bd int) {
 	sortNearest(kids[:cnt], bds[:cnt])
 	for i := 0; i < cnt; i++ {
 		fw.region(cl, kids[i], bds[i])
-		if fw.err != nil || (fw.probe && fw.found) {
+		if fw.err != nil {
 			return
 		}
 	}
@@ -1094,7 +923,7 @@ func (fw *foldWalker) region(l int, rg int32, bd int) {
 
 // scanCell streams one cell's candidate records through the admissible
 // filter, the owner-first memo and the gated evaluation, folding each
-// survivor into ck and recording strict improvements. The per-candidate
+// survivor into ck and applying strict improvements. The per-candidate
 // prune threshold is the larger of best[id] and ck — a discarded candidate
 // then provably neither becomes ck nor improves best[id].
 func (fw *foldWalker) scanCell(c int32) {
@@ -1103,7 +932,6 @@ func (fw *foldWalker) scanCell(c int32) {
 	qU, qW, qRad := fw.qc.qU, fw.qc.qW, fw.qc.qRad
 	qZU, qWf := fw.qc.qZU, fw.qc.qWf
 	distMode, starMode, cWire := fw.qc.distMode, fw.qc.starMode, fw.qc.cWire
-	soa := spatialLayoutSoA
 	for i := range recs {
 		rec := &recs[i]
 		id := rec.id
@@ -1111,15 +939,8 @@ func (fw *foldWalker) scanCell(c int32) {
 			continue
 		}
 		fw.examined++
-		var mu, mw, mrad, mzu, mwf, mgf, ma float64
-		if !soa {
-			mu, mw, mrad = rec.u, rec.w, rec.rad
-			mzu, mwf, mgf, ma = rec.zu, rec.wf, rec.gf, rec.a
-		} else {
-			mu, mw, mrad = g.fU[id], g.fW[id], g.fRad[id]
-			mzu, mwf = g.fZU[id], g.fWf[id]
-			mgf, ma = g.fGF[id], g.fA[id]
-		}
+		mu, mw, mrad := rec.u, rec.w, rec.rad
+		mzu, mwf, mgf, ma := rec.zu, rec.wf, rec.gf, rec.a
 		thr := math.Inf(1)
 		if fw.found {
 			thr = g.best[id].cost
@@ -1170,7 +991,7 @@ func (fw *foldWalker) scanCell(c int32) {
 		var cost float64
 		if cc, ok := g.memoGet(int(id), k.ID); ok {
 			// Possible when n was just rescanned and already evaluated its
-			// pairing with k, or when the probe covered this cell.
+			// pairing with k.
 			fw.cached++
 			cost = g.fi.MemoCost(cc)
 			if !(cost >= 0) {
@@ -1196,117 +1017,26 @@ func (fw *foldWalker) scanCell(c int32) {
 			fw.found = true
 		}
 		if cost < g.best[id].cost {
-			fw.imps = append(fw.imps, improvement{id: id, cost: cost})
+			g.setBest(int(id), cand{partner: k, cost: cost})
 		}
 	}
 }
 
-// foldInIndexed folds a fresh merge node k into the schedule: k's best
-// partner ck plus every strict improvement of a live node's cached best.
-// Small populations take one serial nearest-first walk. Large ones run the
-// deterministic sharded fold: a serial probe walk finds a near candidate
-// to seed every worker's threshold, the live regions of a level wide
-// enough to feed all workers become the work list, workers self-schedule
-// region walks (each item seeded identically, so its pruning decisions are
-// schedule-independent), and a serial reduce folds the per-worker argmins
-// under the (cost, then partner ID) order and applies the deferred
-// improvements in sorted-id order. Any candidate that could change the
-// outcome is never pruned under any schedule, so Workers=N is
-// bit-identical to Workers=1. Serial sections own all mutations; the
-// parallel phase reads the index and writes only per-owner memo rows and
-// per-worker state.
+// foldInIndexed folds a fresh merge node k into the schedule with one
+// nearest-first walk: k's best partner ck plus every strict improvement
+// of a live node's cached best. A serial section: the walk owns every
+// mutation it makes.
 func (r *router) foldInIndexed(g *greedyState, k *topology.Node) error {
-	idx := g.idx
-	qc := g.makeQuery(k.ID)
-	if r.workers <= 1 || len(g.scratch) <= 1 || idx.count < parallelFoldMinAlive {
-		fw := &g.scratch[0].fold
-		fw.reset(r, g, k, qc, false)
-		fw.walkRoots()
-		if fw.err != nil {
-			return fw.err
-		}
-		return g.finishFold(r, k, fw.ck, fw.imps, fw.examined, fw.pops, fw.skipped, fw.cached)
+	fw := &g.fold
+	fw.reset(r, g, k, g.makeQuery(k.ID))
+	fw.walkRoots()
+	if fw.err != nil {
+		return fw.err
 	}
-	pf := &g.probeFold
-	pf.reset(r, g, k, qc, true)
-	pf.walkRoots()
-	if pf.err != nil {
-		return pf.err
-	}
-	if !pf.found {
-		// No candidate anywhere (k is alone): the probe walk, which never
-		// prunes before a first candidate, already visited everything.
-		return g.finishFold(r, k, pf.ck, pf.imps, pf.examined, pf.pops, pf.skipped, pf.cached)
-	}
-	// Shard over the highest level that still offers a few regions per
-	// worker; the live regions there partition the population.
-	lvl := len(idx.levels) - 1
-	for lvl > 0 && idx.levels[lvl].cols*idx.levels[lvl].rows < 4*len(g.scratch) {
-		lvl--
-	}
-	g.foldLevel = lvl
-	lv := &idx.levels[lvl]
-	fr := idx.scr.frontier[:0]
-	for rg := int32(0); rg < int32(lv.cols*lv.rows); rg++ {
-		if lv.agg[rg].count > 0 {
-			fr = append(fr, rg)
-		}
-	}
-	idx.scr.frontier = fr
-	g.foldSeed = pf.ck
-	for w := range g.scratch {
-		fw := &g.scratch[w].fold
-		fw.reset(r, g, k, qc, false)
-		fw.ck, fw.ckAcc, fw.found = pf.ck, pf.ck, true
-	}
-	if err := r.parallelForW(len(fr), g.shardFn); err != nil {
-		return err
-	}
-	ck := pf.ck
-	imps := pf.imps
-	examined, pops := pf.examined, pf.pops
-	skipped, cached := pf.skipped, pf.cached
-	for w := range g.scratch {
-		fw := &g.scratch[w].fold
-		if fw.err != nil {
-			return fw.err
-		}
-		if a := fw.ckAcc; a.cost < ck.cost || (a.cost == ck.cost && a.partner.ID < ck.partner.ID) {
-			ck = a
-		}
-		imps = append(imps, fw.imps...)
-		examined += fw.examined
-		pops += fw.pops
-		skipped += fw.skipped
-		cached += fw.cached
-	}
-	pf.imps = imps
-	return g.finishFold(r, k, ck, imps, examined, pops, skipped, cached)
-}
-
-// finishFold applies a fold-in's deferred improvements in sorted-id order
-// (strict < at apply time collapses the probe/shard duplicates), flushes
-// the search counters, and records k's own best partner.
-func (g *greedyState) finishFold(r *router, k *topology.Node, ck cand, imps []improvement,
-	examined, pops int, skipped, cached int64) error {
-	slices.SortFunc(imps, func(a, b improvement) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
-	for _, im := range imps {
-		if im.cost < g.best[im.id].cost {
-			g.setBest(int(im.id), cand{partner: k, cost: im.cost})
-		}
-	}
-	r.pairSkipped.Add(skipped)
-	r.pairCached.Add(cached)
-	r.noteSearch(examined, pops)
-	g.setBest(k.ID, ck)
+	r.pairSkipped.Add(fw.skipped)
+	r.pairCached.Add(fw.cached)
+	r.noteSearch(fw.examined, fw.pops)
+	g.setBest(k.ID, fw.ck)
 	return nil
 }
 
@@ -1319,135 +1049,4 @@ func axisDist(c, lo, hi int) int {
 		return c - hi
 	}
 	return 0
-}
-
-// runGreedyIndexed is the merge loop of the indexed path. It differs from
-// the exhaustive loop only in how candidates are generated and how stale
-// best-partner entries are found (reverse-dependent lists instead of a
-// full scan); selections, merges and every tie-break are identical.
-func (r *router) runGreedyIndexed(g *greedyState, active []*topology.Node, initStart time.Time) (*topology.Node, error) {
-	initial := make([]cand, len(active))
-	if err := r.parallelForW(len(active), func(i, w int) error {
-		c, err := r.bestPartnerIndexed(g, active[i], w)
-		initial[i] = c
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	for i, n := range active {
-		g.setBest(n.ID, initial[i])
-	}
-	r.stats.PhaseInit = time.Since(initStart)
-
-	// Hoisted once: the rescan body shared by every iteration's parallel
-	// phase (stale nodes and results travel through greedyState buffers).
-	rescanFn := func(i, w int) error {
-		c, err := r.bestPartnerIndexed(g, g.staleBuf[i], w)
-		g.rescanBuf[i] = c
-		return err
-	}
-
-	alive := len(active)
-	root := active[0]
-	for alive > 1 {
-		g.fi.CheckPanic()
-		a, err := g.popCheapest()
-		if err != nil {
-			return nil, err
-		}
-		b := g.best[a.ID].partner
-		cost := g.best[a.ID].cost
-		var t0 time.Time
-		snakesBefore := r.stats.Snakes
-		if r.obsEnabled() {
-			t0 = time.Now()
-		}
-		k, err := r.merge(a, b)
-		if err != nil {
-			return nil, err
-		}
-		k.P = g.fi.MergedP(k.P)
-		r.stats.Merges++
-		r.observeMerge(t0, a, b, k, cost, r.stats.Snakes > snakesBefore, len(g.heap))
-
-		// Nodes whose cached best partner dies with a or b, collected from
-		// the reverse-dependent lists before killIndexed releases them.
-		stale := g.staleBuf[:0]
-		for _, id := range g.deps[a.ID] {
-			if int(id) != b.ID {
-				stale = append(stale, g.byID[id])
-			}
-		}
-		for _, id := range g.deps[b.ID] {
-			if int(id) != a.ID {
-				stale = append(stale, g.byID[id])
-			}
-		}
-		g.staleBuf = stale
-
-		g.killIndexed(a.ID)
-		g.killIndexed(b.ID)
-		g.byID[k.ID] = k
-		g.alive[k.ID] = true
-		r.indexAdd(g, k)
-		alive--
-
-		if g.idx.count <= g.idx.builtAt/2 {
-			r.rebuildIndex(g)
-		}
-
-		// Rescan the stale nodes against the new population (k included,
-		// as in the reference); surviving pairs come out of the memo.
-		rescan := g.rescanBuf
-		if cap(rescan) < len(stale) {
-			rescan = make([]cand, len(stale))
-		}
-		rescan = rescan[:len(stale)]
-		g.rescanBuf = rescan
-		if err := r.parallelForW(len(stale), rescanFn); err != nil {
-			return nil, err
-		}
-		for i, n := range stale {
-			g.setBest(n.ID, rescan[i])
-		}
-
-		if err := r.foldInIndexed(g, k); err != nil {
-			return nil, err
-		}
-		if debugDepsCheck && alive > 1 {
-			g.checkDeps(r.stats.Merges)
-		}
-		if debugBestAudit != nil && alive > 1 {
-			debugBestAudit(r, g, r.stats.Merges)
-		}
-		root = k
-	}
-	return root, nil
-}
-
-// debugDepsCheck enables the per-merge consistency audit below; test-only.
-var debugDepsCheck = false
-
-// debugBestAudit, when non-nil, runs after every indexed merge; test-only.
-var debugBestAudit func(r *router, g *greedyState, merge int)
-
-func (g *greedyState) checkDeps(merge int) {
-	for id, ok := range g.alive {
-		if !ok {
-			continue
-		}
-		b := g.best[id]
-		if b.partner == nil {
-			panic(fmt.Sprintf("merge %d: alive node %d has nil best partner", merge, id))
-		}
-		if !g.alive[b.partner.ID] {
-			panic(fmt.Sprintf("merge %d: node %d best partner %d dead", merge, id, b.partner.ID))
-		}
-		l := g.deps[b.partner.ID]
-		p := g.depPos[id]
-		if int(p) >= len(l) || l[p] != int32(id) {
-			panic(fmt.Sprintf("merge %d: node %d not at depPos %d of deps[%d] (len %d)",
-				merge, id, p, b.partner.ID, len(l)))
-		}
-	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/stream"
 	"repro/internal/tech"
-	"repro/internal/topology"
 )
 
 // placedInstance builds an n-sink instance with one of several spatial
@@ -20,8 +19,8 @@ import (
 // weakest: dense clusters (overfull cells), a corner hotspot next to a
 // sparse far field (rings that stay empty for a long time), a ring
 // (equidistant ties), duplicated points (zero merging-segment distance,
-// pure ID tie-breaks) and a diagonal line (degenerate in one rotated
-// coordinate).
+// pure ID tie-breaks), a diagonal line (degenerate in one rotated
+// coordinate) and every sink at one point (a zero-span, one-cell grid).
 func placedInstance(t testing.TB, kind string, n int, seed uint64) *Instance {
 	t.Helper()
 	const side = 4000.0
@@ -53,6 +52,8 @@ func placedInstance(t testing.TB, kind string, n int, seed uint64) *Instance {
 		case "line":
 			x := rng.Float64() * side
 			p = geom.Pt(x, clampF(x+rng.NormFloat64()*2, 0, side))
+		case "coincident":
+			p = geom.Pt(side/3, side/5)
 		default:
 			t.Fatalf("unknown placement kind %q", kind)
 		}
@@ -81,52 +82,21 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
-// routeExhaustive routes in with the spatial index disabled by raising the
-// size gate above n, restoring it afterwards. Callers must not run in
-// parallel with other routes (the gate is a package variable; this is the
-// test-only seam for differential testing).
-func routeExhaustive(t testing.TB, in *Instance, opts Options) (*topology.Tree, Stats) {
-	t.Helper()
-	saved := spatialMinSinks
-	spatialMinSinks = len(in.SinkLocs) + 1
-	defer func() { spatialMinSinks = saved }()
-	tr, s, err := Route(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.IndexSearches != 0 {
-		t.Fatal("exhaustive reference run used the spatial index")
-	}
-	return tr, s
-}
-
-// routeLayoutSoA routes in with the cell scans switched to the gathered
-// flat-array (SoA) layout — the differential seam of the AoS records. Same
-// caveat as routeExhaustive: package-variable seam, not parallel-safe.
-func routeLayoutSoA(t testing.TB, in *Instance, opts Options) *topology.Tree {
-	t.Helper()
-	spatialLayoutSoA = true
-	defer func() { spatialLayoutSoA = false }()
-	tr, _, err := Route(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
 // TestSpatialMatchesExhaustiveProperty is the differential property test of
-// the tentpole: across 200 random instances — every placement shape, every
-// indexed method, varying sizes and seeds — the spatially indexed greedy
-// must produce the bit-identical tree (same digest, same merge count) as
-// the exhaustive O(n²) scan it replaced, in both candidate layouts (AoS
-// records and gathered SoA). Any admissibility bug in the region or
-// candidate floors, any tie-break divergence in the argmin, and any
-// staleness bug in the incremental insert/remove path shows up here as a
-// digest mismatch.
+// the candidate engine: across 200 random instances — every placement
+// shape, every indexed method, 2 to 207 sinks — the pyramid-walking fast
+// path must produce the bit-identical tree (same digest) as the reference
+// greedy's exhaustive all-pairs scan (Options.Reference), with the
+// per-merge dependent-list audit switched on. Any admissibility bug in
+// the region or candidate floors, any tie-break divergence in the argmin,
+// and any staleness bug in the incremental insert/remove path shows up
+// here as a digest mismatch or a failed audit.
 func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential property test routes 400 instances")
 	}
+	debugDepsCheck = true
+	defer func() { debugDepsCheck = false }()
 	p := tech.Default()
 	modes := []Options{
 		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree},                        // polReduce
@@ -135,14 +105,13 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 		{Tech: p, Method: MinClockCapOnly, Drivers: GatedTree},                       // polClassic
 		{Tech: p, Method: GreedyDistance, Drivers: BareTree},                         // polDist
 	}
-	kinds := []string{"uniform", "clustered", "hotspot", "ring", "dup", "line"}
+	kinds := []string{"uniform", "clustered", "hotspot", "ring", "dup", "line", "coincident"}
 
 	const cases = 200
-	indexed := 0
 	for i := 0; i < cases; i++ {
 		kind := kinds[i%len(kinds)]
 		opts := modes[(i/len(kinds))%len(modes)]
-		n := spatialMinSinks + (i*13)%80
+		n := 2 + (i*13)%206
 		name := fmt.Sprintf("%03d-%s-%s-n%d", i, kind, opts.Method, n)
 		in := placedInstance(t, kind, n, uint64(1000+i))
 
@@ -150,54 +119,18 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: indexed route: %v", name, err)
 		}
-		ref, _ := routeExhaustive(t, in, opts)
+		refOpts := opts
+		refOpts.Reference = true
+		ref, _, err := Route(in, refOpts)
+		if err != nil {
+			t.Fatalf("%s: reference route: %v", name, err)
+		}
 		if fast.Digest() != ref.Digest() {
-			t.Fatalf("%s: indexed tree %s != exhaustive tree %s",
+			t.Fatalf("%s: indexed tree %s != reference tree %s",
 				name, fast.Digest()[:12], ref.Digest()[:12])
 		}
-		// Layout differential: the same route with the cell scans reading
-		// the gathered flat arrays (SoA) instead of the resident candRec
-		// fields must not move a single bit.
-		soa := routeLayoutSoA(t, in, opts)
-		if soa.Digest() != ref.Digest() {
-			t.Fatalf("%s: SoA-layout tree %s != exhaustive tree %s",
-				name, soa.Digest()[:12], ref.Digest()[:12])
-		}
-		if fs.IndexSearches > 0 {
-			indexed++
-		}
-	}
-	// The point is differential coverage of the index, not of the
-	// exhaustive scan against itself: degenerate shapes may legitimately
-	// decline the index, but the bulk of the cases must exercise it.
-	if indexed < cases*3/4 {
-		t.Errorf("only %d/%d cases used the spatial index", indexed, cases)
-	}
-}
-
-// BenchmarkSpatialLayout measures the tentpole's layout claim head to
-// head: the same routes with cell scans streaming the resident AoS
-// records versus gathering the six flat SoA arrays through cellOf
-// indirections. Both produce bit-identical trees (the property test pins
-// that); only the memory traffic differs.
-func BenchmarkSpatialLayout(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
-		in := placedInstance(b, "uniform", n, 42)
-		opts := Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree}
-		for _, soa := range []bool{false, true} {
-			name := fmt.Sprintf("N=%d/aos", n)
-			if soa {
-				name = fmt.Sprintf("N=%d/soa", n)
-			}
-			b.Run(name, func(b *testing.B) {
-				spatialLayoutSoA = soa
-				defer func() { spatialLayoutSoA = false }()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := Route(in, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		if fs.IndexSearches == 0 {
+			t.Fatalf("%s: route did not search the spatial index", name)
 		}
 	}
 }
