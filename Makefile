@@ -33,9 +33,11 @@ bench:
 	$(GO) run ./examples/loadclient -n 400 -c 32 -depth 64 -json BENCH_serve.json
 
 # CI smoke: one iteration of the routing benchmarks, the allocation
-# ceilings at N=1024/4096, and the p90 candidates-per-search budget at
-# N=16384. Catches gross ns/op, allocs/op and candidate-bound regressions
-# without paying for a statistically meaningful benchmark run.
+# ceilings at N=1024/4096, and at N=16384 the p90 candidates-per-search
+# budget plus the 8·N cap on index searches (a return to eager per-merge
+# rescans fails it). Catches gross ns/op, allocs/op, candidate-bound and
+# search-count regressions without paying for a statistically meaningful
+# benchmark run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRoute$$|BenchmarkConstructScaling/N=(128|1024)$$' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestRouteAllocationCeiling|TestCandidateBudget16k' .

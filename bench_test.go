@@ -131,8 +131,8 @@ func BenchmarkConstructScaling(b *testing.B) {
 
 // BenchmarkConstructMulticore is the Workers dimension of the scaling
 // series: the same N=16384 instance routed with 1, 2, 4 and 8 search
-// workers. Only the initial best-partner scan and the per-merge rescans
-// fan out; the fold-in and the merge loop stay serial. Trees are
+// workers. Only the initial best-partner scan fans out; the lazy rescans,
+// the fold-in and the merge loop stay serial. Trees are
 // bit-identical across the row (the digest tests pin that); only the wall
 // clock may move — read the rows together with the host's core count.
 func BenchmarkConstructMulticore(b *testing.B) {

@@ -3,7 +3,10 @@
 // bounded neighborhood instead of the expanding-ring scans' long tails;
 // this pins the p90 of candidates-per-search at N=16384 under a fixed
 // budget so a bound regression (a loosened floor, a broken region
-// discard) fails CI rather than silently degrading to near-quadratic.
+// discard) fails CI rather than silently degrading to near-quadratic. It
+// also caps the number of searches: orphaned nodes are rescanned lazily,
+// only when their lower bound reaches the top of the pair heap, so a
+// return to eager per-merge rescans (12.6·N searches here) fails too.
 package gatedclock_test
 
 import (
@@ -41,5 +44,10 @@ func TestCandidateBudget16k(t *testing.T) {
 	t.Logf("N=16384: %d searches, p50<=%d p90<=%d candidates/search", s.IndexSearches, p50, p90)
 	if p90 > budget {
 		t.Errorf("p90 candidates/search = %d, budget %d", p90, budget)
+	}
+	// Measured at 102,808 (6.3·N): the initial scan, one fold-in per merge
+	// and the lazy rescans. Eager rescans took 206,959.
+	if limit := 8 * bm.NumSinks(); s.IndexSearches > limit {
+		t.Errorf("%d index searches, budget 8·N = %d", s.IndexSearches, limit)
 	}
 }

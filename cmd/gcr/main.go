@@ -52,7 +52,7 @@ func main() {
 	drawMap := flag.Bool("draw", false, "render an ASCII floorplan of the routed tree")
 	simulate := flag.Bool("simulate", false, "replay the benchmark's instruction stream cycle-by-cycle and compare with the probabilistic report")
 	stats := flag.Bool("stats", false, "print router statistics: pair evals, pruning, cache hits, phase timings")
-	workers := flag.Int("workers", 0, "goroutines for candidate-pair scans (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "goroutines for the initial best-partner scan (0 = GOMAXPROCS)")
 	reference := flag.Bool("reference", false, "route with the unaccelerated reference greedy (validation/baseline)")
 	verifyTree := flag.Bool("verify", false, "run the independent post-construction checker on the routed tree and report")
 	timeout := flag.Duration("timeout", 0, "abort routing after this duration (0 = no limit)")

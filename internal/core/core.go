@@ -154,9 +154,11 @@ type Options struct {
 	// routes exact zero skew.
 	SkewBoundPs float64
 	// Workers sets the number of goroutines used for the best-partner
-	// searches of the greedy's initial scan and per-merge rescans. 0 uses
-	// GOMAXPROCS; 1 forces serial execution. Results are identical
-	// regardless of the worker count.
+	// searches of the greedy's initial scan. The reference greedy also
+	// fans out its per-merge rescans and fold-in; the fast path rescans
+	// orphaned nodes lazily, one at a time. 0 uses GOMAXPROCS; 1 forces
+	// serial execution. Results are identical regardless of the worker
+	// count.
 	Workers int
 	// Reference runs the unaccelerated greedy (no pair-cost memo, no
 	// lower-bound pruning, linear cheapest scan). Output is bit-identical
@@ -424,6 +426,34 @@ func usesFastPath(m Method) bool {
 // the attempt's counters and phase timings, so callers (the fallback path
 // in RouteContext) can account the wasted work.
 func routeOnce(ctx context.Context, in *Instance, opts Options) (*topology.Tree, Stats, error) {
+	r := newRouter(ctx, in, opts)
+	tree, err := r.run()
+	// Load the counters before the error checks: a failed attempt's work
+	// must stay visible to the fallback's merged accounting.
+	r.stats.PairEvals = int(r.pairEvals.Load())
+	r.stats.PairEvalsSkipped = int(r.pairSkipped.Load())
+	r.stats.PairEvalsCached = int(r.pairCached.Load())
+	r.stats.PairMemoStores = int(r.memoStores.Load())
+	r.stats.IndexSearches = int(r.idxSearches.Load())
+	r.stats.IndexCandidates = int(r.idxCandidates.Load())
+	r.stats.IndexRegionsVisited = int(r.idxRegions.Load())
+	for i := range r.idxHist {
+		r.stats.IndexNeighborhood[i] = int(r.idxHist[i].Load())
+	}
+	if err == nil && opts.Verify {
+		err = verify.Tree(tree, opts.Tech, opts.SkewBoundPs)
+	}
+	r.flushInstruments(r.stats)
+	if err != nil {
+		return nil, r.stats, err
+	}
+	return tree, r.stats, nil
+}
+
+// newRouter resolves the defaults of opts — the gating policy, the buffer
+// threshold, the controller, the clock source and the worker count — into
+// a router for one construction attempt on in.
+func newRouter(ctx context.Context, in *Instance, opts Options) *router {
 	r := &router{in: in, opts: opts, ctx: ctx,
 		tracer: opts.Tracer, inst: newCoreInstruments(opts.Metrics)}
 	side := in.Die.W()
@@ -458,27 +488,7 @@ func routeOnce(ctx context.Context, in *Instance, opts Options) (*topology.Tree,
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
-	tree, err := r.run()
-	// Load the counters before the error checks: a failed attempt's work
-	// must stay visible to the fallback's merged accounting.
-	r.stats.PairEvals = int(r.pairEvals.Load())
-	r.stats.PairEvalsSkipped = int(r.pairSkipped.Load())
-	r.stats.PairEvalsCached = int(r.pairCached.Load())
-	r.stats.PairMemoStores = int(r.memoStores.Load())
-	r.stats.IndexSearches = int(r.idxSearches.Load())
-	r.stats.IndexCandidates = int(r.idxCandidates.Load())
-	r.stats.IndexRegionsVisited = int(r.idxRegions.Load())
-	for i := range r.idxHist {
-		r.stats.IndexNeighborhood[i] = int(r.idxHist[i].Load())
-	}
-	if err == nil && opts.Verify {
-		err = verify.Tree(tree, opts.Tech, opts.SkewBoundPs)
-	}
-	r.flushInstruments(r.stats)
-	if err != nil {
-		return nil, r.stats, err
-	}
-	return tree, r.stats, nil
+	return r
 }
 
 type router struct {

@@ -1,30 +1,35 @@
 // The fast path of the one-pair-at-a-time greedy (PROCEDURE
 // GatedClockRouting) for the geometric pair costs (MinSwitchedCap,
-// MinClockCapOnly, GreedyDistance). Four layers accelerate the schedule
+// MinClockCapOnly, GreedyDistance). Five layers accelerate the schedule
 // without changing a single output bit relative to runGreedyReference:
 //
 //  1. Pair-cost memo. pairCost(a, b) is a pure function of the two
 //     (immutable once created) nodes, so every evaluated cost is stored in
-//     a bounded per-node row keyed by partner ID and rescans after a merge
-//     are served from the memo instead of re-solving the zero-skew merge.
-//     Rows are keyed owner-first — pairCost is not exactly symmetric under
-//     floating point, and the reference always evaluates (owner, partner)
-//     in that order.
+//     a bounded per-node row keyed by partner ID and a later best-partner
+//     search is served from the memo instead of re-solving the zero-skew
+//     merge. Rows are keyed owner-first — pairCost is not exactly
+//     symmetric under floating point, and the reference always evaluates
+//     (owner, partner) in that order.
 //  2. Lazy-deletion min-heap. The reference's cheapest() is a linear scan
 //     over the active set every iteration; here every best-partner update
-//     pushes a versioned entry and stale entries are discarded on pop. The
-//     heap order (cost, then node ID) is exactly cheapest()'s tie rule.
-//  3. Admissible lower bound. Before solving BoundedSkewMerge for a
+//     pushes a versioned entry and obsolete entries are discarded on pop.
+//     The heap order (cost, then node ID) is exactly cheapest()'s tie rule.
+//  3. Lazy rescans. The reference rescans every node whose cheapest
+//     partner was just merged away. Here such an orphan turns stale: it
+//     keeps the lost pair's cost as a lower bound on its next cost and
+//     waits in the heap under that bound (lowered by staleMargin), and
+//     popCheapest rescans it only when it reaches the top (DESIGN.md §7.1).
+//  4. Admissible lower bound. Before solving BoundedSkewMerge for a
 //     candidate, a geometric bound — zero-length edges plus the joining
 //     distance charged at the cheaper branch's activity weight — is
 //     compared against the running best. WireCap is linear in length and
 //     la+lb ≥ dist(ms(a), ms(b)), so the bound never exceeds the true
 //     Equation-3 cost; candidates it dominates are skipped (counted in
 //     Stats.PairEvalsSkipped) without affecting the selected pair.
-//  4. Spatial index (spatial.go). Candidates come from nearest-first walks
+//  5. Spatial index (spatial.go). Candidates come from nearest-first walks
 //     of a quadtree pyramid over the merging segments, whatever the
 //     instance size, and reverse-dependent lists find the nodes a merge
-//     leaves stale without scanning the active set.
+//     orphans without scanning the active set.
 package core
 
 import (
@@ -53,6 +58,31 @@ func invariantf(format string, args ...any) error {
 // neither the selected pair nor any tie-break.
 func dominated(lb, thr float64) bool {
 	return lb > thr+1e-12*math.Abs(thr)
+}
+
+// staleMargin is the relative amount by which a stale node's heap key and
+// fold-in threshold sit below its lost pair's cost. The lost cost bounds
+// the orphan's next cost exactly when the cached pair was evaluated
+// owner-first; a merge node's initial pair was evaluated partner-first
+// (the fold-in computes pairCost(partner, k)), and the two orders differ
+// by rounding, which TestPairCostNearlySymmetric pins at ≤ 1e-13
+// relative, far inside the margin.
+const staleMargin = 1e-12
+
+// staleKey is the lower bound a stale node with lost pair cost c waits
+// under: no live partner can cost it less.
+func staleKey(c float64) float64 {
+	return c - staleMargin*math.Abs(c)
+}
+
+// key is node id's current heap key: its cached pair cost, or staleKey of
+// the lost pair's cost while the node is stale.
+func (g *greedyState) key(id int32) float64 {
+	b := g.best[id]
+	if b.partner == nil {
+		return staleKey(b.cost)
+	}
+	return b.cost
 }
 
 // heapEntry is one versioned candidate in the lazy-deletion heap.
@@ -130,6 +160,11 @@ const memoRowCap = 48
 // (IDs are dense: 0..n-1 for sinks, then one per merge). Candidates are
 // generated from the spatial grid and pair costs memoized into bounded
 // compact rows, keeping total memory linear in the instance size.
+//
+// A live node is stale when best[id].partner is nil: its cached partner
+// was merged away and best[id].cost still holds that lost pair's cost.
+// A stale node sits in no dependent list; its current heap entry carries
+// key(id).
 type greedyState struct {
 	byID  []*topology.Node
 	best  []cand
@@ -167,18 +202,15 @@ type greedyState struct {
 
 	// Arena-style recycling: fresh memo rows and dependent lists are
 	// carved from two slabs (three-index capped, so growth reallocates
-	// off-slab instead of aliasing a neighbor), killed nodes hand theirs
-	// to their successors, and the per-merge scratch slices are reused
-	// across iterations — steady-state merge work allocates nothing
-	// beyond genuine row growth.
-	rowSlab   []memoEntry
-	rowOff    int
-	depSlab   []int32
-	depOff    int
-	freeRows  [][]memoEntry
-	freeDeps  [][]int32
-	staleBuf  []*topology.Node
-	rescanBuf []cand
+	// off-slab instead of aliasing a neighbor) and killed nodes hand
+	// theirs to their successors — steady-state merge work allocates
+	// nothing beyond genuine row growth.
+	rowSlab  []memoEntry
+	rowOff   int
+	depSlab  []int32
+	depOff   int
+	freeRows [][]memoEntry
+	freeDeps [][]int32
 
 	// stores counts memo writes — the memo-eligible misses that form the
 	// cache-hit-rate denominator. Owned by the router during routing.
@@ -207,9 +239,10 @@ func (r *router) newGreedyState(sinks []*topology.Node) *greedyState {
 }
 
 // setBest records n's cheapest partner and pushes a fresh heap entry;
-// older entries for the node become stale via the version counter. It
+// older entries for the node become obsolete via the version counter. It
 // also maintains the reverse-dependent lists and the index's monotone
-// best-cost maxima. Must be called from the serial sections only.
+// best-cost maxima, and clears a stale mark. Must be called from the
+// serial sections only.
 func (g *greedyState) setBest(id int, c cand) {
 	if old := g.best[id].partner; old != nil && g.alive[old.ID] {
 		g.depRemove(old.ID, int32(id))
@@ -240,20 +273,38 @@ func (g *greedyState) depRemove(partnerID int, id int32) {
 	g.deps[partnerID] = l[:last]
 }
 
-// kill retires a merged-away node: it leaves the dependent list of its
-// (still live) best partner, leaves the grid, and recycles its memo row
-// and dependent list for future merge nodes.
-func (g *greedyState) kill(id int) {
-	if p := g.best[id].partner; p != nil && g.alive[p.ID] {
-		g.depRemove(p.ID, int32(id))
+// orphan marks live node id stale after its cached partner died: it keeps
+// the lost pair's cost and goes back on the heap under staleKey of it. The
+// caller drops the dying partner's dependent list wholesale, so id is not
+// unlinked from it.
+func (g *greedyState) orphan(id int32) {
+	g.best[id].partner = nil
+	g.ver[id]++
+	g.heap.push(heapEntry{cost: g.fi.HeapCost(g.key(id)), id: id, ver: g.ver[id]})
+}
+
+// kill retires the merged pair a, b: every other node whose cached partner
+// was a or b is orphaned, and each dying node leaves the dependent list of
+// its surviving partner, leaves the grid, and recycles its memo row and
+// dependent list for future merge nodes.
+func (g *greedyState) kill(a, b int) {
+	g.alive[a], g.alive[b] = false, false
+	for _, id := range [2]int{a, b} {
+		if p := g.best[id].partner; p != nil && g.alive[p.ID] {
+			g.depRemove(p.ID, int32(id))
+		}
+		for _, d := range g.deps[id] {
+			if g.alive[d] {
+				g.orphan(d)
+			}
+		}
+		g.best[id] = cand{}
+		g.idx.remove(int32(id))
+		g.freeRows = append(g.freeRows, g.rows[id][:0])
+		g.rows[id] = nil
+		g.freeDeps = append(g.freeDeps, g.deps[id][:0])
+		g.deps[id] = nil
 	}
-	g.alive[id] = false
-	g.best[id] = cand{}
-	g.idx.remove(int32(id))
-	g.freeRows = append(g.freeRows, g.rows[id][:0])
-	g.rows[id] = nil
-	g.freeDeps = append(g.freeDeps, g.deps[id][:0])
-	g.deps[id] = nil
 }
 
 // memoRowInit and depInit are the initial capacities of a compact memo
@@ -299,22 +350,39 @@ func (g *greedyState) assignDeps(id int) {
 }
 
 // popCheapest returns the live node whose cached pair is globally
-// cheapest, discarding heap entries invalidated by merges or rescans. A
-// current-version entry must agree with the best table and carry a sane
-// cost — Equation-3 costs and sector distances are always finite and
-// non-negative — so any mismatch means the heap or the table is corrupt.
-func (g *greedyState) popCheapest() (*topology.Node, error) {
+// cheapest, discarding heap entries invalidated by merges or newer pushes.
+// A stale node's entry is a lower bound, so when one reaches the top the
+// node is rescanned and re-pushed at its exact cost; a fresh entry is
+// returned only once no stale bound sorts below it in (cost, then ID)
+// order, which makes it the reference cheapest()'s pick. Every current
+// entry must agree with the best table (staleKey of it for a stale node)
+// and carry a sane cost — Equation-3 costs and sector distances are always
+// finite and non-negative — and a rescan may never land below its stale
+// bound, so any mismatch means the heap or the table is corrupt.
+func (r *router) popCheapest(g *greedyState) (*topology.Node, error) {
 	for len(g.heap) > 0 {
 		e := g.heap.pop()
 		if !g.alive[e.id] || g.ver[e.id] != e.ver {
 			continue
 		}
 		b := g.best[e.id]
+		want := g.key(e.id)
 		switch {
-		case e.cost != b.cost || !(e.cost >= 0) || math.IsInf(e.cost, 1):
+		case e.cost != want || !(e.cost >= 0) || math.IsInf(e.cost, 1):
 			return nil, invariantf("heap entry for node %d has cost %v, best table says %v",
-				e.id, e.cost, b.cost)
-		case b.partner == nil || !g.alive[b.partner.ID]:
+				e.id, e.cost, want)
+		case b.partner == nil:
+			c, err := r.bestPartnerIndexed(g, g.byID[e.id], 0)
+			if err != nil {
+				return nil, err
+			}
+			if c.cost < e.cost {
+				return nil, invariantf("node %d rescanned to cost %v, below its stale bound %v",
+					e.id, c.cost, e.cost)
+			}
+			g.setBest(int(e.id), c)
+			continue
+		case !g.alive[b.partner.ID]:
 			return nil, invariantf("node %d's cached partner is not alive", e.id)
 		}
 		return g.byID[e.id], nil
@@ -333,9 +401,8 @@ func (g *greedyState) memoGet(owner, partner int) (float64, bool) {
 
 // memoSet stores a cost in the owner's bounded row; a full row compacts
 // dead partners out and then evicts its oldest entry. Rows are only
-// touched by the goroutine that owns the row's node in the current
-// parallel phase, so no locking is needed (alive is read-only during
-// parallel phases).
+// touched by the goroutine that owns the row's node in the initial
+// parallel scan, so no locking is needed (alive is read-only there).
 func (g *greedyState) memoSet(owner, partner int, cost float64) {
 	g.stores.Add(1)
 	row := g.rows[owner]
@@ -427,10 +494,11 @@ func (r *router) runGreedyProtected() (root *topology.Node, err error) {
 // topology, embedding, every float — are bit-identical to
 // runGreedyReference; see the package comment at the top of this file for
 // why each layer preserves that. It differs from the reference only in
-// how candidates are generated (pyramid walks instead of all-pairs scans)
-// and how stale best-partner entries are found (reverse-dependent lists
-// instead of a full scan); selections, merges and every tie-break are
-// identical.
+// how candidates are generated (pyramid walks instead of all-pairs scans),
+// how orphaned best-partner entries are found (reverse-dependent lists
+// instead of a full scan) and when they are rescanned (on reaching the
+// heap top instead of right after the merge); selections, merges and
+// every tie-break are identical.
 func (r *router) runGreedy() (*topology.Node, error) {
 	initStart := time.Now()
 	active := r.makeSinks()
@@ -451,19 +519,11 @@ func (r *router) runGreedy() (*topology.Node, error) {
 	}
 	r.stats.PhaseInit = time.Since(initStart)
 
-	// Hoisted once: the rescan body shared by every iteration's parallel
-	// phase (stale nodes and results travel through greedyState buffers).
-	rescanFn := func(i, w int) error {
-		c, err := r.bestPartnerIndexed(g, g.staleBuf[i], w)
-		g.rescanBuf[i] = c
-		return err
-	}
-
 	alive := len(active)
 	root := active[0]
 	for alive > 1 {
 		g.fi.CheckPanic()
-		a, err := g.popCheapest()
+		a, err := r.popCheapest(g)
 		if err != nil {
 			return nil, err
 		}
@@ -482,23 +542,7 @@ func (r *router) runGreedy() (*topology.Node, error) {
 		r.stats.Merges++
 		r.observeMerge(t0, a, b, k, cost, r.stats.Snakes > snakesBefore, len(g.heap))
 
-		// Nodes whose cached best partner dies with a or b, collected from
-		// the reverse-dependent lists before kill releases them.
-		stale := g.staleBuf[:0]
-		for _, id := range g.deps[a.ID] {
-			if int(id) != b.ID {
-				stale = append(stale, g.byID[id])
-			}
-		}
-		for _, id := range g.deps[b.ID] {
-			if int(id) != a.ID {
-				stale = append(stale, g.byID[id])
-			}
-		}
-		g.staleBuf = stale
-
-		g.kill(a.ID)
-		g.kill(b.ID)
+		g.kill(a.ID, b.ID)
 		g.byID[k.ID] = k
 		g.alive[k.ID] = true
 		r.indexAdd(g, k)
@@ -507,22 +551,6 @@ func (r *router) runGreedy() (*topology.Node, error) {
 		if g.idx.count <= g.idx.builtAt/2 {
 			r.rebuildIndex(g)
 		}
-
-		// Rescan the stale nodes against the new population (k included,
-		// as in the reference); surviving pairs come out of the memo.
-		rescan := g.rescanBuf
-		if cap(rescan) < len(stale) {
-			rescan = make([]cand, len(stale))
-		}
-		rescan = rescan[:len(stale)]
-		g.rescanBuf = rescan
-		if err := r.parallelForW(len(stale), rescanFn); err != nil {
-			return nil, err
-		}
-		for i, n := range stale {
-			g.setBest(n.ID, rescan[i])
-		}
-
 		if err := r.foldInIndexed(g, k); err != nil {
 			return nil, err
 		}
@@ -542,9 +570,15 @@ func (g *greedyState) checkDeps(merge int) {
 		if !ok {
 			continue
 		}
+		for p, d := range g.deps[id] {
+			if !g.alive[d] || g.best[d].partner == nil || g.best[d].partner.ID != id || g.depPos[d] != int32(p) {
+				panic(fmt.Sprintf("merge %d: deps[%d][%d] = %d is dead, stale or not partnered with %d",
+					merge, id, p, d, id))
+			}
+		}
 		b := g.best[id]
 		if b.partner == nil {
-			panic(fmt.Sprintf("merge %d: alive node %d has nil best partner", merge, id))
+			continue // stale: the list check above keeps it out of every list
 		}
 		if !g.alive[b.partner.ID] {
 			panic(fmt.Sprintf("merge %d: node %d best partner %d dead", merge, id, b.partner.ID))

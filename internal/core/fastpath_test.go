@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"repro/internal/gating"
 	"repro/internal/tech"
+	"repro/internal/topology"
 )
 
 // TestFastPathMatchesReferenceAllModes routes randomized instances under
@@ -24,7 +27,7 @@ func TestFastPathMatchesReferenceAllModes(t *testing.T) {
 		{Tech: p, Method: GreedyDistance, Drivers: BareTree},
 		{Tech: p, Method: GreedyDistance, Drivers: BufferedTree},
 	}
-	for _, n := range []int{2, 3, 17, 70} {
+	for _, n := range []int{2, 3, 17, 70, 200} {
 		in := makeInstance(t, n, uint64(1000+n))
 		for oi, opts := range optsList {
 			fastTree, fastStats, err := Route(in, opts)
@@ -170,25 +173,100 @@ func TestPairHeap(t *testing.T) {
 }
 
 // TestLazyDeletion checks popCheapest discards entries invalidated by
-// version bumps or node death instead of returning them.
+// version bumps or node death instead of returning them, and rescans a
+// stale node whose lower bound reaches the top instead of returning it.
 func TestLazyDeletion(t *testing.T) {
-	in := makeInstance(t, 3, 1)
+	in := makeInstance(t, 4, 1)
 	r := &router{in: in, opts: Options{Tech: tech.Default(), Drivers: BareTree,
 		Method: GreedyDistance}}
 	sinks := r.makeSinks()
 	g := r.newGreedyState(sinks)
 	g.setBest(0, cand{partner: sinks[1], cost: 5})
 	g.setBest(1, cand{partner: sinks[0], cost: 5})
-	g.setBest(2, cand{partner: sinks[0], cost: 9})
-	// Re-point node 0 at a higher cost: its old (5, 0) entry is stale.
+	g.setBest(2, cand{partner: sinks[1], cost: 3})
+	g.setBest(3, cand{partner: sinks[0], cost: 9})
+	// Re-point node 0 at a higher cost: its old (5, 0) entry is obsolete.
 	g.setBest(0, cand{partner: sinks[2], cost: 7})
-	// Kill node 1: its (5, 1) entry is dead.
-	g.kill(1)
-	got, err := g.popCheapest()
+	// Kill the pair (1, 3): their entries are dead, and node 2, which
+	// named 1 as its partner, turns stale under a bound just below 3.
+	g.kill(1, 3)
+	if g.best[2].partner != nil || g.best[2].cost != 3 {
+		t.Fatalf("node 2 not stale after its partner died: %+v", g.best[2])
+	}
+	got, err := r.popCheapest(g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The only live partner left for node 2 is node 0, more than 7 λ
+	// away: the rescan must price it exactly and keep node 0 on top.
+	if g.best[2].partner != sinks[0] || g.best[2].cost <= 7 {
+		t.Fatalf("stale node 2 not rescanned to its exact partner: %+v", g.best[2])
+	}
+	if r.idxSearches.Load() != 1 {
+		t.Fatalf("%d index searches, want the one rescan", r.idxSearches.Load())
 	}
 	if got != sinks[0] {
 		t.Fatalf("popCheapest returned node %d, want 0 at cost 7", got.ID)
 	}
+}
+
+// TestPairCostNearlySymmetric pins the assumption behind staleMargin:
+// pairCost(a, b) and pairCost(b, a) differ only by rounding, far inside
+// the margin. The pairs come from routed trees — every node against a
+// spread of others — under every Equation-3 configuration that prices
+// drivers differently, on five placement shapes.
+func TestPairCostNearlySymmetric(t *testing.T) {
+	p := tech.Default()
+	modes := []Options{
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree},
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.All{}},
+		{Tech: p, Method: MinClockCapOnly, Drivers: GatedTree},
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, SkewBoundPs: 50},
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, SizeDrivers: true},
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, BufferCap: 300},
+	}
+	kinds := []string{"uniform", "clustered", "ring", "dup", "line"}
+	const n, partners = 300, 24
+	rng := rand.New(rand.NewPCG(17, 29))
+	pairs, asym, worst := 0, 0, 0.0
+	for mi, opts := range modes {
+		for ki, kind := range kinds {
+			in := placedInstance(t, kind, n, uint64(3000+10*mi+ki))
+			tree, _, err := Route(in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nodes []*topology.Node
+			tree.Root.PreOrder(func(v *topology.Node) { nodes = append(nodes, v) })
+			r := newRouter(context.Background(), in, opts)
+			for _, a := range nodes {
+				for j := 0; j < partners; j++ {
+					b := nodes[rng.IntN(len(nodes))]
+					if b == a {
+						continue
+					}
+					ab, err := r.pairCost(a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ba, err := r.pairCost(b, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pairs++
+					if ab == ba {
+						continue
+					}
+					asym++
+					rel := math.Abs(ab-ba) / math.Max(ab, ba)
+					worst = math.Max(worst, rel)
+					if rel > 1e-13 {
+						t.Fatalf("opts %d %s: pairCost(%d, %d) = %v, pairCost(%d, %d) = %v: relative gap %.3g",
+							mi, kind, a.ID, b.ID, ab, b.ID, a.ID, ba, rel)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d pairs, %d asymmetric, worst relative gap %.3g (margin %g)", pairs, asym, worst, staleMargin)
 }

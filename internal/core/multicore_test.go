@@ -8,12 +8,12 @@ import (
 	"repro/internal/tech"
 )
 
-// TestMulticoreDigestProperty is the determinism contract of the parallel
-// phases — the initial best-partner scan and the per-merge rescans, which
-// fan out across workers once they hold 64 or more searches: routing the
-// same instance at Workers ∈ {1, 2, 8} must produce bit-identical trees.
-// A search that read state another worker writes, or any
-// schedule-dependent tie-break, would flip a digest.
+// TestMulticoreDigestProperty is the determinism contract of the fast
+// path's one parallel phase — the initial best-partner scan, which fans
+// out across workers once it holds 64 or more searches: routing the same
+// instance at Workers ∈ {1, 2, 8} must produce bit-identical trees. A
+// search that read state another worker writes, or any schedule-dependent
+// tie-break, would flip a digest.
 //
 // The test runs under -short (with a reduced corpus) on purpose: `make
 // race` leans on it to catch data races between search workers.

@@ -48,8 +48,8 @@
 //     The selected pair — and therefore every output bit — matches the
 //     reference greedy's all-pairs scan.
 //   - All index mutations (insert, remove, rebuild, floor updates) happen
-//     in the serial sections of the merge loop; the parallel phases (the
-//     initial scan and the rescans) only read it.
+//     in the serial sections of the merge loop; the one parallel phase
+//     (the initial best-partner scan) only reads it.
 //
 // ActivityDriven orders merges by signal probability alone, which no
 // midpoint distance bounds, so it routes through the reference greedy.
@@ -803,7 +803,10 @@ func (r *router) bestPartnerIndexed(g *greedyState, n *topology.Node, w int) (ca
 // cost(n, k) < best[n].cost as it finds it. Costs are evaluated
 // owner-first as cost(n, k), exactly as the reference fold-in does, and k
 // carries the highest live ID, so ties keep the incumbent and only strict
-// improvements rewrite best[n].
+// improvements rewrite best[n]. The improvement threshold is n's heap key
+// (greedyState.key), which for a stale n is staleKey(best[n].cost): every
+// other live node costs n at least that, so a k strictly below it is n's
+// exact argmin and clears the mark.
 //
 // A region is discarded only when its admissible bound strictly dominates
 // BOTH duties' thresholds: the running ck and the region's monotone
@@ -821,16 +824,16 @@ type foldWalker struct {
 	ck    cand
 	found bool
 
-	examined, pops  int
-	skipped, cached int64
-	err             error
+	examined, pops int
+	skipped        int64
+	err            error
 }
 
 func (fw *foldWalker) reset(r *router, g *greedyState, k *topology.Node, qc queryCtx) {
 	fw.r, fw.g, fw.k, fw.qc = r, g, k, qc
 	fw.ck, fw.found = cand{}, false
 	fw.examined, fw.pops = 0, 0
-	fw.skipped, fw.cached = 0, 0
+	fw.skipped = 0
 	fw.err = nil
 }
 
@@ -922,10 +925,12 @@ func (fw *foldWalker) region(l int, rg int32, bd int) {
 }
 
 // scanCell streams one cell's candidate records through the admissible
-// filter, the owner-first memo and the gated evaluation, folding each
-// survivor into ck and applying strict improvements. The per-candidate
-// prune threshold is the larger of best[id] and ck — a discarded candidate
-// then provably neither becomes ck nor improves best[id].
+// filter and the gated evaluation, folding each survivor into ck and
+// applying strict improvements. The per-candidate prune threshold is the
+// larger of best[id] and ck — a discarded candidate then provably neither
+// becomes ck nor improves best[id]. There is no memo probe: k is fresh and
+// no search runs between its merge and this walk, so no row holds it yet;
+// the evaluated costs are stored for the rescans that follow.
 func (fw *foldWalker) scanCell(c int32) {
 	g, r, k := fw.g, fw.r, fw.k
 	recs := g.idx.cells[c]
@@ -988,35 +993,21 @@ func (fw *foldWalker) scanCell(c int32) {
 			}
 		}
 		n := g.byID[id]
-		var cost float64
-		if cc, ok := g.memoGet(int(id), k.ID); ok {
-			// Possible when n was just rescanned and already evaluated its
-			// pairing with k.
-			fw.cached++
-			cost = g.fi.MemoCost(cc)
-			if !(cost >= 0) {
-				fw.err = invariantf("memo row %d[%d] holds impossible cost %v",
-					id, k.ID, cost)
-				return
-			}
-		} else {
-			cc, pruned, err := r.pairCostGated(n, k, thr)
-			if err != nil {
-				fw.err = err
-				return
-			}
-			if pruned {
-				fw.skipped++
-				continue
-			}
-			g.memoSet(int(id), k.ID, cc)
-			cost = cc
+		cost, pruned, err := r.pairCostGated(n, k, thr)
+		if err != nil {
+			fw.err = err
+			return
 		}
+		if pruned {
+			fw.skipped++
+			continue
+		}
+		g.memoSet(int(id), k.ID, cost)
 		if !fw.found || cost < fw.ck.cost || (cost == fw.ck.cost && n.ID < fw.ck.partner.ID) {
 			fw.ck = cand{partner: n, cost: cost}
 			fw.found = true
 		}
-		if cost < g.best[id].cost {
+		if cost < g.key(id) {
 			g.setBest(int(id), cand{partner: k, cost: cost})
 		}
 	}
@@ -1034,7 +1025,6 @@ func (r *router) foldInIndexed(g *greedyState, k *topology.Node) error {
 		return fw.err
 	}
 	r.pairSkipped.Add(fw.skipped)
-	r.pairCached.Add(fw.cached)
 	r.noteSearch(fw.examined, fw.pops)
 	g.setBest(k.ID, fw.ck)
 	return nil
