@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-full bench bench-smoke perf-smoke race fuzz serve loadtest chaos-smoke cluster-smoke clean
+.PHONY: all build vet lint test test-full bench bench-smoke perf-smoke race fuzz fuzz-index serve loadtest chaos-smoke cluster-smoke clean
 
 # Default: build everything, lint, and run the fast test suite.
 all: build lint test
@@ -34,10 +34,11 @@ bench:
 
 # CI smoke: one iteration of the routing benchmarks, the allocation
 # ceilings at N=1024/4096, and at N=16384 the p90 candidates-per-search
-# budget plus the 8·N cap on index searches (a return to eager per-merge
-# rescans fails it). Catches gross ns/op, allocs/op, candidate-bound and
-# search-count regressions without paying for a statistically meaningful
-# benchmark run.
+# budget, the 600·N cap on candidates and 400·N cap on regions visited
+# (stale region floors or cell-rounded region distances fail them), plus
+# the 8·N cap on index searches (a return to eager per-merge rescans fails
+# it). Catches gross ns/op, allocs/op, candidate-bound and search-count
+# regressions without paying for a statistically meaningful benchmark run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRoute$$|BenchmarkConstructScaling/N=(128|1024)$$' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestRouteAllocationCeiling|TestCandidateBudget16k' .
@@ -71,6 +72,11 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCacheSnapshot -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run xxx -fuzz FuzzSpatialIndex -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzRoute -fuzztime $(FUZZTIME) .
+
+# CI fuzz step: explores the spatial index's invariants (exact region
+# floors, point-to-region gaps at any grid origin) beyond the seed corpus.
+fuzz-index:
+	$(GO) test -run '^$$' -fuzz '^FuzzSpatialIndex$$' -fuzztime 15s ./internal/core/
 
 # Run the routing daemon locally (POST /v1/route, /healthz, /metrics).
 serve:

@@ -4,7 +4,10 @@
 // this pins the p90 of candidates-per-search at N=16384 under a fixed
 // budget so a bound regression (a loosened floor, a broken region
 // discard) fails CI rather than silently degrading to near-quadratic. It
-// also caps the number of searches: orphaned nodes are rescanned lazily,
+// also caps the walk's totals: candidates at 600·N and regions visited
+// at 400·N, which region floors left stale after removals or a
+// cell-rounded region distance (872·N and 545·N here) exceed. Finally it
+// caps the number of searches: orphaned nodes are rescanned lazily,
 // only when their lower bound reaches the top of the pair heap, so a
 // return to eager per-merge rescans (12.6·N searches here) fails too.
 package gatedclock_test
@@ -38,16 +41,27 @@ func TestCandidateBudget16k(t *testing.T) {
 		t.Fatal("N=16384 route did not use the spatial index")
 	}
 	// The quantile reads the log2 histogram, so the observable values are
-	// powers of two; 2048 is ~4× the measured steady state.
+	// powers of two; 2048 is 16× the measured p90 of ≤128.
 	const budget = 2048
 	p50, p90 := s.NeighborhoodQuantile(0.50), s.NeighborhoodQuantile(0.90)
 	t.Logf("N=16384: %d searches, p50<=%d p90<=%d candidates/search", s.IndexSearches, p50, p90)
 	if p90 > budget {
 		t.Errorf("p90 candidates/search = %d, budget %d", p90, budget)
 	}
+	// Measured at 6,022,556 candidates (368·N) and 4,235,091 regions
+	// (258·N) with exact region floors and point-to-region distances.
+	n := bm.NumSinks()
+	t.Logf("N=16384: %d candidates (%.0f·N), %d regions visited (%.0f·N)", s.IndexCandidates,
+		float64(s.IndexCandidates)/float64(n), s.IndexRegionsVisited, float64(s.IndexRegionsVisited)/float64(n))
+	if limit := 600 * n; s.IndexCandidates > limit {
+		t.Errorf("%d index candidates, budget 600·N = %d", s.IndexCandidates, limit)
+	}
+	if limit := 400 * n; s.IndexRegionsVisited > limit {
+		t.Errorf("%d index regions visited, budget 400·N = %d", s.IndexRegionsVisited, limit)
+	}
 	// Measured at 102,808 (6.3·N): the initial scan, one fold-in per merge
 	// and the lazy rescans. Eager rescans took 206,959.
-	if limit := 8 * bm.NumSinks(); s.IndexSearches > limit {
+	if limit := 8 * n; s.IndexSearches > limit {
 		t.Errorf("%d index searches, budget 8·N = %d", s.IndexSearches, limit)
 	}
 }

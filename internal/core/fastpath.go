@@ -457,9 +457,10 @@ func (r *router) pairCostGated(a, b *topology.Node, threshold float64) (float64,
 	if !math.IsInf(threshold, 1) {
 		// Lower bound: both edges at zero length plus the unavoidable
 		// joining distance of wire charged at the cheaper branch weight.
+		// WireCap is spelled out, as in edgeSC, so Params is not copied.
 		w := math.Min(r.edgeWeight(a, ga, parentP), r.edgeWeight(b, gb, parentP))
 		lb := r.edgeSC(a, 0, ga, parentP) + r.edgeSC(b, 0, gb, parentP) +
-			r.opts.Tech.WireCap(a.MS.Dist(b.MS))*w
+			r.opts.Tech.WireCapPerLambda*a.MS.Dist(b.MS)*w
 		if dominated(lb, threshold) {
 			return lb, true, nil
 		}

@@ -31,12 +31,13 @@
 //     least the query's own activity — stop radii no longer depend on the
 //     laziest node in the index.
 //
-// Region aggregates (per-region floor minima, radius maxima, monotone
-// best-cost maxima and live occupant counts) are maintained at every
-// pyramid level, so one comparison discards a whole region; the hierarchy
-// is admissible by construction — a parent region's bound never exceeds
-// any child's — which makes the best-first walk's first dominated pop a
-// proof that everything still in the heap is dominated too.
+// Region aggregates (exact per-region floor minima and radius maxima,
+// monotone best-cost maxima and live occupant counts) are maintained at
+// every pyramid level, so one comparison discards a whole region; the
+// hierarchy is admissible by construction — a parent region's bound never
+// exceeds any child's, and a region's distance to the query is a true
+// point-to-rectangle gap — so a discarded region provably holds no
+// candidate the walk could still need.
 //
 // Everything here preserves the bit-identity contract of fastpath.go:
 //
@@ -88,10 +89,10 @@ type candRec struct {
 }
 
 // qlevel is one level of the region pyramid. Level 0 is the cell raster
-// itself; level l aggregates 2^l × 2^l cells per region. Aggregates follow
-// the same monotone-safe maintenance as the old per-cell floors: insertion
-// folds minima in (radii and best costs up), removal leaves them
-// stale-but-safe, rebuilds retighten.
+// itself; level l aggregates 2^l × 2^l cells per region. Floor minima and
+// radius maxima are exact over the live occupants: insertion folds them
+// in, removal recomputes them (remove). Best-cost maxima only grow between
+// rebuilds.
 type qlevel struct {
 	cols, rows int
 	shift      uint // log2 cells per region side
@@ -112,6 +113,26 @@ type regionAgg struct {
 	_            int64 // pad to 64 bytes
 }
 
+// fold folds one occupant's (or one child region's) floor terms into the
+// region's minima and radius maximum.
+func (ag *regionAgg) fold(zu, wf, gf, a, rad float64) {
+	if zu < ag.zuMin {
+		ag.zuMin = zu
+	}
+	if wf < ag.wfMin {
+		ag.wfMin = wf
+	}
+	if gf < ag.gfMin {
+		ag.gfMin = gf
+	}
+	if a < ag.aMin {
+		ag.aMin = a
+	}
+	if rad > ag.maxRad {
+		ag.maxRad = rad
+	}
+}
+
 // spatialScratch pools every allocation the grid needs across rebuilds:
 // one aggregate slab for all regions of all levels, plus the cell headers
 // and record slabs. Owned by one greedyState; rebuilds recycle it, so
@@ -128,9 +149,10 @@ type spatialScratch struct {
 // spatialIndex buckets live nodes into a uniform grid over rotated
 // merging-segment midpoints, with the region pyramid on top. Out-of-range
 // points (merge midpoints can drift outside the grid built from an earlier
-// population) are clamped to the boundary cells; clamping both query and
-// stored points is a contraction of the Chebyshev metric, so distance
-// bounds only under-estimate true separations — admissible, never wrong.
+// population) are clamped to the boundary cells, so regionBD treats every
+// region edge on the grid boundary as open outward; a query keeps its
+// unclamped position, and distance bounds only under-estimate true
+// separations — admissible, never wrong.
 type spatialIndex struct {
 	minU, minW float64
 	cell       float64 // cell side in rotated units, > 0
@@ -205,11 +227,16 @@ func newSpatialGrid(scr *spatialScratch, capIDs int, minU, maxU, minW, maxW floa
 	return x
 }
 
+// cellPos returns rotated point (u, w) in unclamped cell units.
+func (x *spatialIndex) cellPos(u, w float64) (fu, fw float64) {
+	return (u - x.minU) / x.cell, (w - x.minW) / x.cell
+}
+
 // coords returns the grid cell of rotated point (u, w), clamped to the
 // grid.
 func (x *spatialIndex) coords(u, w float64) (ci, cj int) {
-	ci = int((u - x.minU) / x.cell)
-	cj = int((w - x.minW) / x.cell)
+	fu, fw := x.cellPos(u, w)
+	ci, cj = int(fu), int(fw)
 	if ci < 0 {
 		ci = 0
 	} else if ci >= x.cols {
@@ -236,28 +263,17 @@ func (x *spatialIndex) insert(rec candRec) {
 		lv := &x.levels[l]
 		ag := &lv.agg[(cj>>lv.shift)*lv.cols+ci>>lv.shift]
 		ag.count++
-		if rec.zu < ag.zuMin {
-			ag.zuMin = rec.zu
-		}
-		if rec.wf < ag.wfMin {
-			ag.wfMin = rec.wf
-		}
-		if rec.gf < ag.gfMin {
-			ag.gfMin = rec.gf
-		}
-		if rec.a < ag.aMin {
-			ag.aMin = rec.a
-		}
-		if rec.rad > ag.maxRad {
-			ag.maxRad = rec.rad
-		}
+		ag.fold(rec.zu, rec.wf, rec.gf, rec.a, rec.rad)
 	}
 	x.count++
 }
 
-// remove deletes id from its cell by swap-removal and decrements the live
-// counts. Floor minima and radius maxima stay stale-but-safe (same
-// monotone direction as ever); rebuilds retighten them. In-cell order is
+// remove deletes id from its cell by swap-removal, decrements the live
+// counts and keeps every floor exact: the cell's minima and radius maximum
+// are recomputed from its remaining records, then each ancestor's from its
+// ≤4 children, up to the first level the removal left unchanged — every
+// level above it folds unchanged children. An emptied region holds +Inf
+// minima and radius 0; maxBest stays a monotone maximum. In-cell order is
 // not part of the contract: scans take an order-independent argmin.
 func (x *spatialIndex) remove(id int32) {
 	c := x.cellOf[id]
@@ -268,15 +284,39 @@ func (x *spatialIndex) remove(id int32) {
 	for i := range s {
 		if s[i].id == id {
 			s[i] = s[len(s)-1]
-			x.cells[c] = s[:len(s)-1]
+			s = s[:len(s)-1]
 			break
 		}
 	}
+	x.cells[c] = s
 	x.cellOf[id] = -1
 	ci, cj := int(c)%x.cols, int(c)/x.cols
+	inf := math.Inf(1)
+	dirty := true
 	for l := range x.levels {
 		lv := &x.levels[l]
-		lv.agg[(cj>>lv.shift)*lv.cols+ci>>lv.shift].count--
+		ri, rj := ci>>lv.shift, cj>>lv.shift
+		ag := &lv.agg[rj*lv.cols+ri]
+		ag.count--
+		if !dirty {
+			continue
+		}
+		old := *ag
+		ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.maxRad = inf, inf, inf, inf, 0
+		if l == 0 {
+			for i := range s {
+				ag.fold(s[i].zu, s[i].wf, s[i].gf, s[i].a, s[i].rad)
+			}
+		} else {
+			clv := &x.levels[l-1]
+			for kj := rj * 2; kj <= rj*2+1 && kj < clv.rows; kj++ {
+				for ki := ri * 2; ki <= ri*2+1 && ki < clv.cols; ki++ {
+					k := &clv.agg[kj*clv.cols+ki]
+					ag.fold(k.zuMin, k.wfMin, k.gfMin, k.aMin, k.maxRad)
+				}
+			}
+		}
+		dirty = *ag != old
 	}
 	x.count--
 }
@@ -306,7 +346,8 @@ func (x *spatialIndex) noteBest(id int32, cost float64) {
 // searching node, loaded once per search.
 type queryCtx struct {
 	q        int32
-	qci, qcj int // query's (clamped) grid cell
+	qci, qcj int     // query's (clamped) grid cell
+	qfu, qfw float64 // query's unclamped position in cell units
 	qU, qW   float64
 	qRad     float64
 	qZU, qWf float64
@@ -318,8 +359,9 @@ type queryCtx struct {
 func (g *greedyState) makeQuery(q int) queryCtx {
 	rec := &g.recs[q]
 	ci, cj := g.idx.coords(rec.u, rec.w)
+	fu, fw := g.idx.cellPos(rec.u, rec.w)
 	return queryCtx{
-		q: int32(q), qci: ci, qcj: cj,
+		q: int32(q), qci: ci, qcj: cj, qfu: fu, qfw: fw,
 		qU: rec.u, qW: rec.w, qRad: rec.rad,
 		qZU: rec.zu, qWf: rec.wf,
 		distMode: g.polMode == polDist,
@@ -328,33 +370,38 @@ func (g *greedyState) makeQuery(q int) queryCtx {
 	}
 }
 
-// regionBD returns the Chebyshev grid-cell distance from the query's cell
-// to the nearest cell of region rg at level l.
-func (x *spatialIndex) regionBD(qc *queryCtx, l int, rg int32) int {
+// regionBD returns the Chebyshev gap, in cell units, from the query's
+// unclamped position to the cell rectangle of region rg at level l. A
+// rectangle edge on the grid boundary is open outward: clamped points of
+// any distance live in the boundary cells.
+func (x *spatialIndex) regionBD(qc *queryCtx, l int, rg int32) float64 {
 	lv := &x.levels[l]
 	ri, rj := int(rg)%lv.cols, int(rg)/lv.cols
 	side := 1 << lv.shift
 	iLo, jLo := ri<<lv.shift, rj<<lv.shift
-	iHi := min(iLo+side-1, x.cols-1)
-	jHi := min(jLo+side-1, x.rows-1)
-	return max(axisDist(qc.qci, iLo, iHi), axisDist(qc.qcj, jLo, jHi))
+	return max(axisGap(qc.qfu, iLo, iLo+side, x.cols), axisGap(qc.qfw, jLo, jLo+side, x.rows))
+}
+
+// gapDist converts a region gap into a Chebyshev distance floor between
+// centers. The 1e-9-cell guard exceeds the rounding of the cell
+// assignment, which is relative to u − minU in cell units and therefore
+// tiny at any coordinate offset.
+func (x *spatialIndex) gapDist(bd float64) float64 {
+	return max(0, bd-1e-9) * x.cell
 }
 
 // regionLB lower-bounds pairCost(q, m) for every occupant m of region rg,
-// given the region's grid distance bd (the caller already computed it for
-// the nearest-first ordering — bounds are never paid twice per region)
-// at level l: an occupant of a cell at grid distance bd sits at center
-// distance ≥ (bd−1)·cell, discounted by the query's radius and the
-// region's own maximum occupant radius — the same admissible form as the
-// per-candidate filter, evaluated against the region's floor minima. A
-// NaN (an ∞ arm multiplied by a zero activity weight) carries no
-// information and collapses to 0, which is always admissible — this
-// matters because the best-first walk *orders* by these bounds and breaks
-// on the first dominated pop; an unsanitized NaN could mis-sort a region
-// holding finite candidates.
-func (x *spatialIndex) regionLB(qc *queryCtx, l int, rg int32, bd int) float64 {
+// given the region's gap bd (the caller already computed it for the
+// nearest-first ordering — bounds are never paid twice per region) at
+// level l: every occupant's center sits at Chebyshev distance
+// ≥ gapDist(bd) from the query's, discounted by the query's radius
+// and the region's own maximum occupant radius — the same admissible form
+// as the per-candidate filter, evaluated against the region's floor
+// minima. A NaN (an ∞ arm multiplied by a zero activity weight) carries no
+// information and collapses to 0, which is always admissible.
+func (x *spatialIndex) regionLB(qc *queryCtx, l int, rg int32, bd float64) float64 {
 	ag := &x.levels[l].agg[rg]
-	dlb := float64(bd-1)*x.cell - qc.qRad - ag.maxRad
+	dlb := x.gapDist(bd) - qc.qRad - ag.maxRad
 	if dlb < 0 {
 		dlb = 0
 	}
@@ -368,7 +415,11 @@ func (x *spatialIndex) regionLB(qc *queryCtx, l int, rg int32, bd int) float64 {
 			wf = ag.wfMin
 		}
 		lb = ag.gfMin + qc.cWire*dlb*wf
-		if u := (ag.aMin + qc.cWire*dlb) * qc.qWf; u < lb {
+		pm := qc.qWf
+		if ag.wfMin > pm {
+			pm = ag.wfMin
+		}
+		if u := ag.aMin*pm + qc.cWire*dlb*qc.qWf; u < lb {
 			lb = u
 		}
 		lb += qc.qZU
@@ -531,9 +582,9 @@ func (g *greedyState) buildGrid() {
 
 // rebuildIndex rebuilds the grid over the surviving nodes once the
 // population has halved, restoring ~2 nodes per cell and retightening the
-// floors and best-cost maxima that loosened monotonically since the last
-// build. Triggered O(log n) times; all backing arrays recycle through the
-// grid scratch.
+// best-cost maxima that only grew since the last build (the floors are
+// exact throughout). Triggered O(log n) times; all backing arrays recycle
+// through the grid scratch.
 func (r *router) rebuildIndex(g *greedyState) {
 	g.buildGrid()
 	for id, ok := range g.alive {
@@ -552,7 +603,7 @@ func (r *router) rebuildIndex(g *greedyState) {
 // a running best exists — and dominance pruning bites — before anything
 // else is visited. A region is discarded at entry when its admissible
 // bound strictly dominates the running best; children are visited in
-// (grid distance, then region index) order, so near — hence cheap —
+// (gap, then region index) order, so near — hence cheap —
 // candidates tighten the threshold before far regions are judged. The
 // visit order only affects which regions get discarded, never the result:
 // strict-dominance discards cannot hide the argmin or a tie under the
@@ -588,7 +639,7 @@ func (sw *searchWalker) walkRoots() {
 	top := len(idx.levels) - 1
 	lv := &idx.levels[top]
 	var order [4]int32
-	var bds [4]int
+	var bds [4]float64
 	cnt := 0
 	for rg := int32(0); rg < int32(lv.cols*lv.rows); rg++ {
 		if lv.agg[rg].count == 0 {
@@ -607,9 +658,9 @@ func (sw *searchWalker) walkRoots() {
 	}
 }
 
-// region walks one region of level l at grid distance bd: discard, scan
-// (level 0), or recurse into the live children nearest-first.
-func (sw *searchWalker) region(l int, rg int32, bd int) {
+// region walks one region of level l at gap bd: discard, scan (level 0),
+// or recurse into the live children nearest-first.
+func (sw *searchWalker) region(l int, rg int32, bd float64) {
 	if l == 0 && rg == sw.seed {
 		return // home cell: scanned before the descent started
 	}
@@ -632,7 +683,7 @@ func (sw *searchWalker) region(l int, rg int32, bd int) {
 	clv := &idx.levels[cl]
 	ri, rj := int(rg)%lv.cols, int(rg)/lv.cols
 	var kids [4]int32
-	var bds [4]int
+	var bds [4]float64
 	cnt := 0
 	for cj2 := rj * 2; cj2 <= rj*2+1 && cj2 < clv.rows; cj2++ {
 		for ci2 := ri * 2; ci2 <= ri*2+1 && ci2 < clv.cols; ci2++ {
@@ -844,7 +895,7 @@ func (fw *foldWalker) walkRoots() {
 	top := len(idx.levels) - 1
 	lv := &idx.levels[top]
 	var order [4]int32
-	var bds [4]int
+	var bds [4]float64
 	cnt := 0
 	for rg := int32(0); rg < int32(lv.cols*lv.rows); rg++ {
 		if lv.agg[rg].count == 0 {
@@ -863,9 +914,9 @@ func (fw *foldWalker) walkRoots() {
 	}
 }
 
-// sortNearest insertion-sorts ≤4 regions by (grid distance, then region
-// index) — the deterministic nearest-first visit order.
-func sortNearest(rgs []int32, bds []int) {
+// sortNearest insertion-sorts ≤4 regions by (gap from the query, then
+// region index) — the deterministic nearest-first visit order.
+func sortNearest(rgs []int32, bds []float64) {
 	for i := 1; i < len(rgs); i++ {
 		for j := i; j > 0 && (bds[j] < bds[j-1] || (bds[j] == bds[j-1] && rgs[j] < rgs[j-1])); j-- {
 			bds[j], bds[j-1] = bds[j-1], bds[j]
@@ -874,9 +925,9 @@ func sortNearest(rgs []int32, bds []int) {
 	}
 }
 
-// region walks one region of level l at grid distance bd: discard, scan
-// (level 0), or recurse into the live children nearest-first.
-func (fw *foldWalker) region(l int, rg int32, bd int) {
+// region walks one region of level l at gap bd: discard, scan (level 0),
+// or recurse into the live children nearest-first.
+func (fw *foldWalker) region(l int, rg int32, bd float64) {
 	idx := fw.g.idx
 	lv := &idx.levels[l]
 	ag := &lv.agg[rg]
@@ -902,7 +953,7 @@ func (fw *foldWalker) region(l int, rg int32, bd int) {
 	clv := &idx.levels[cl]
 	ri, rj := int(rg)%lv.cols, int(rg)/lv.cols
 	var kids [4]int32
-	var bds [4]int
+	var bds [4]float64
 	cnt := 0
 	for cj2 := rj * 2; cj2 <= rj*2+1 && cj2 < clv.rows; cj2++ {
 		for ci2 := ri * 2; ci2 <= ri*2+1 && ci2 < clv.cols; ci2++ {
@@ -1030,13 +1081,14 @@ func (r *router) foldInIndexed(g *greedyState, k *topology.Node) error {
 	return nil
 }
 
-// axisDist is the distance from coordinate c to the interval [lo, hi].
-func axisDist(c, lo, hi int) int {
-	if c < lo {
-		return lo - c
+// axisGap is the distance from cell-unit coordinate c to the cell span
+// [lo, hi) of an axis n cells long, open below at 0 and above at n.
+func axisGap(c float64, lo, hi, n int) float64 {
+	if lo > 0 && c < float64(lo) {
+		return float64(lo) - c
 	}
-	if c > hi {
-		return c - hi
+	if hi < n && c > float64(hi) {
+		return c - float64(hi)
 	}
 	return 0
 }

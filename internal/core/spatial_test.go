@@ -136,17 +136,24 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 }
 
 // FuzzSpatialIndex drives the index container with an arbitrary op stream
-// (insert, remove, noteBest) and cross-checks it against a flat mirror
-// model: membership, per-cell bucketing of full records, the per-level
-// region occupant counts, the admissible min/max aggregates, and the
-// monotone maxBest hierarchy the best-first walk prunes against.
+// (insert, remove, noteBest) over a grid whose origin the input shifts by
+// up to ~1e9, and cross-checks it against a flat mirror model: membership,
+// per-cell bucketing of full records, the per-level region occupant
+// counts, floor minima and radius maxima exactly equal to the values
+// recomputed from the live occupants, the monotone maxBest hierarchy the
+// fold-in prunes against, and — for query points inside the grid and
+// beyond each edge — region gaps whose guarded distance never exceeds the
+// Chebyshev distance to any live occupant, clamped ones included.
 func FuzzSpatialIndex(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252})
-	f.Add([]byte("insert-remove-insert"))
-	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, int32(0))
+	f.Add([]byte("insert-remove-insert"), int32(0))
+	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16}, int32(0))
+	f.Add([]byte("insert-remove-insert"), int32(2100000000))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, int32(-2099999999))
+	f.Fuzz(func(t *testing.T, data []byte, shift int32) {
 		const capIDs = 64
-		x := newSpatialGrid(&spatialScratch{}, capIDs, 0, 1000, -500, 500, 32)
+		org := float64(shift) / 2.1 // grid origin, |org| ≤ ~1.02e9
+		x := newSpatialGrid(&spatialScratch{}, capIDs, org, org+1000, org-500, org+500, 32)
 		type mirror struct {
 			live bool
 			rec  candRec
@@ -155,8 +162,8 @@ func FuzzSpatialIndex(f *testing.F) {
 		var m [capIDs]mirror
 		for i := 0; i+2 < len(data); i += 3 {
 			id := int32(data[i] % capIDs)
-			u := float64(data[i+1])*5 - 100 // strays below minU: clamped
-			w := float64(data[i+2])*5 - 600 // strays below minW: clamped
+			u := org + float64(data[i+1])*5 - 100 // strays below minU: clamped
+			w := org + float64(data[i+2])*5 - 600 // strays below minW: clamped
 			switch data[i] % 3 {
 			case 0: // insert (skip if live: the greedy never double-inserts)
 				if !m[id].live {
@@ -227,43 +234,81 @@ func FuzzSpatialIndex(f *testing.F) {
 			t.Fatalf("cells hold %d records, mirror %d", total, liveCount)
 		}
 
-		// Every pyramid level must agree with the raster: region occupant
-		// counts equal the summed cell lengths, the floor minima bound every
-		// occupant's terms from below, maxRad bounds every radius from
-		// above, and maxBest dominates every noted best cost. (Minima may
-		// sit strictly below all live occupants after removals —
-		// stale-but-safe is the contract; they may never sit above.)
+		// Queries: the grid's middle, one beyond each edge, and two per op
+		// of the first three — one on the op's own point (an occupant when
+		// it inserted: distance 0), one scaled to range past every edge.
+		queries := [][2]float64{{org + 437.3, org - 61.9},
+			{org - 317.3, org + 12.5}, {org + 1211.9, org - 3.1},
+			{org + 500.7, org - 577.1}, {org + 255.2, org + 903.3}}
+		for i := 0; i+2 < len(data) && i < 9; i += 3 {
+			b1, b2 := float64(data[i+1]), float64(data[i+2])
+			queries = append(queries, [2]float64{org + b1*5 - 100, org + b2*5 - 600},
+				[2]float64{org + b1*7.3 - 400, org + b2*7.3 - 900})
+		}
+
+		// Every pyramid level must agree with the raster and the mirror:
+		// region occupant counts equal the summed cell lengths, floor
+		// minima and maxRad equal the values recomputed from the live
+		// occupants (+Inf and 0 when empty), maxBest dominates every noted
+		// best cost, and every occupied region's guarded gap distance is a
+		// floor on the query's Chebyshev distance to each occupant.
+		inf := math.Inf(1)
 		for l := range x.levels {
 			lv := &x.levels[l]
-			sum := make([]int32, lv.cols*lv.rows)
+			nr := lv.cols * lv.rows
+			sum := make([]int32, nr)
 			for c, recs := range x.cells {
 				ci, cj := c%x.cols, c/x.cols
 				sum[(cj>>lv.shift)*lv.cols+ci>>lv.shift] += int32(len(recs))
 			}
-			for rg := range sum {
-				if sum[rg] != lv.agg[rg].count {
-					t.Fatalf("level %d region %d count %d, cells sum to %d",
-						l, rg, lv.agg[rg].count, sum[rg])
-				}
+			want := make([]regionAgg, nr)
+			for rg := range want {
+				want[rg] = regionAgg{zuMin: inf, wfMin: inf, gfMin: inf, aMin: inf}
+			}
+			regionOf := func(id int32) int {
+				ci, cj := x.coords(m[id].rec.u, m[id].rec.w)
+				return (cj>>lv.shift)*lv.cols + ci>>lv.shift
 			}
 			for id := int32(0); id < capIDs; id++ {
 				if !m[id].live {
 					continue
 				}
-				r := m[id].rec
-				ci, cj := x.coords(r.u, r.w)
-				ag := &lv.agg[(cj>>lv.shift)*lv.cols+ci>>lv.shift]
-				if ag.zuMin > r.zu || ag.wfMin > r.wf ||
-					ag.gfMin > r.gf || ag.aMin > r.a {
-					t.Fatalf("level %d minima exceed occupant %d: %+v", l, id, r)
-				}
-				if ag.maxRad < r.rad {
-					t.Fatalf("level %d maxRad %v below occupant radius %v",
-						l, ag.maxRad, r.rad)
-				}
-				if m[id].best > 0 && ag.maxBest < m[id].best {
+				r, w := m[id].rec, &want[regionOf(id)]
+				w.zuMin, w.wfMin = math.Min(w.zuMin, r.zu), math.Min(w.wfMin, r.wf)
+				w.gfMin, w.aMin = math.Min(w.gfMin, r.gf), math.Min(w.aMin, r.a)
+				w.maxRad = math.Max(w.maxRad, r.rad)
+				if ag := &lv.agg[regionOf(id)]; m[id].best > 0 && ag.maxBest < m[id].best {
 					t.Fatalf("level %d maxBest %v below noted best %v",
 						l, ag.maxBest, m[id].best)
+				}
+			}
+			for rg := range sum {
+				ag, w := &lv.agg[rg], &want[rg]
+				if sum[rg] != ag.count {
+					t.Fatalf("level %d region %d count %d, cells sum to %d",
+						l, rg, ag.count, sum[rg])
+				}
+				if ag.zuMin != w.zuMin || ag.wfMin != w.wfMin || ag.gfMin != w.gfMin ||
+					ag.aMin != w.aMin || ag.maxRad != w.maxRad {
+					t.Fatalf("level %d region %d floors (zu %v wf %v gf %v a %v rad %v), exact (zu %v wf %v gf %v a %v rad %v)",
+						l, rg, ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.maxRad,
+						w.zuMin, w.wfMin, w.gfMin, w.aMin, w.maxRad)
+				}
+			}
+			for _, q := range queries {
+				var qc queryCtx
+				qc.qfu, qc.qfw = x.cellPos(q[0], q[1])
+				for id := int32(0); id < capIDs; id++ {
+					if !m[id].live {
+						continue
+					}
+					r := m[id].rec
+					rg := regionOf(id)
+					d := math.Max(math.Abs(q[0]-r.u), math.Abs(q[1]-r.w))
+					if g := x.gapDist(x.regionBD(&qc, l, int32(rg))); g > d {
+						t.Fatalf("level %d region %d: query (%v, %v) gap distance %v exceeds distance %v to occupant %d at (%v, %v)",
+							l, rg, q[0], q[1], g, d, id, r.u, r.w)
+					}
 				}
 			}
 		}

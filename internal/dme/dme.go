@@ -54,8 +54,9 @@ type Merge struct {
 //
 // for a wire of length l feeding the branch, where q = r·c/2 is shared by
 // all branches, a collects the driver-resistance and wire-resistance load
-// terms, and b the constant delay.
-func branchPoly(p tech.Params, br Branch) (a, b float64) {
+// terms, and b the constant delay. p is read through a pointer: the merge
+// sits on the greedy's pair-cost path, where copying Params shows.
+func branchPoly(p *tech.Params, br Branch) (a, b float64) {
 	rPs := p.WireResPerLambda * tech.PsPerOhmFF
 	c := p.WireCapPerLambda
 	if br.Driver != nil {
@@ -101,8 +102,8 @@ func BoundedSkewMerge(p tech.Params, a, b Branch, budget float64) (Merge, error)
 	}
 	L := a.MS.Dist(b.MS)
 	q := p.WireResPerLambda * tech.PsPerOhmFF * p.WireCapPerLambda / 2
-	aA, bA := branchPoly(p, a)
-	aB, bB := branchPoly(p, b)
+	aA, bA := branchPoly(&p, a)
+	aB, bB := branchPoly(&p, b)
 
 	var la, lb float64
 	snaked := false
