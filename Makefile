@@ -34,10 +34,10 @@ bench:
 
 # CI smoke: one iteration of the routing benchmarks, the allocation
 # ceilings at N=1024/4096, and at N=16384 the p90 candidates-per-search
-# budget, the 600·N cap on candidates and 400·N cap on regions visited
-# (stale region floors or cell-rounded region distances fail them), plus
-# the 8·N cap on index searches (a return to eager per-merge rescans fails
-# it). Catches gross ns/op, allocs/op, candidate-bound and search-count
+# budget, the 300·N cap on candidates and 230·N cap on regions visited
+# (bounds blind to the merged enable, stale region floors or cell-rounded
+# region distances fail them), plus the 8·N cap on index searches (a
+# return to eager per-merge rescans fails it). Catches gross ns/op, allocs/op, candidate-bound and search-count
 # regressions without paying for a statistically meaningful benchmark run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRoute$$|BenchmarkConstructScaling/N=(128|1024)$$' -benchtime 1x -benchmem .

@@ -264,7 +264,7 @@ type Stats struct {
 	Merges    int // number of bottom-up merges (N−1)
 	Snakes    int // merges that required wire elongation
 	PairEvals int // candidate pair cost evaluations (full merges solved)
-	// PairEvalsSkipped counts candidates discarded because their geometric
+	// PairEvalsSkipped counts candidates discarded because their admissible
 	// lower bound already exceeded the running best — no merge solved and
 	// no memo consulted.
 	PairEvalsSkipped int

@@ -19,12 +19,16 @@
 //     keeps the lost pair's cost as a lower bound on its next cost and
 //     waits in the heap under that bound (lowered by staleMargin), and
 //     popCheapest rescans it only when it reaches the top (DESIGN.md §7.1).
-//  4. Admissible lower bound. Before solving BoundedSkewMerge for a
-//     candidate, a geometric bound — zero-length edges plus the joining
-//     distance charged at the cheaper branch's activity weight — is
-//     compared against the running best. WireCap is linear in length and
-//     la+lb ≥ dist(ms(a), ms(b)), so the bound never exceeds the true
-//     Equation-3 cost; candidates it dominates are skipped (counted in
+//  4. Admissible lower bounds. Before solving BoundedSkewMerge for a
+//     candidate, two bounds — zero-length edges plus the joining distance
+//     charged at the cheaper branch's activity weight — are compared
+//     against the running best: first the record bound (spatial.go),
+//     from the candidate's cache-resident record alone, which takes the
+//     cheaper gating arm of each side and a floor on the merged enable's
+//     signal probability; then pairCostGated's, with the real gating
+//     decision and the exact merged enable. WireCap is linear in length
+//     and la+lb ≥ dist(ms(a), ms(b)), so neither bound exceeds the true
+//     Equation-3 cost; candidates they dominate are skipped (counted in
 //     Stats.PairEvalsSkipped) without affecting the selected pair.
 //  5. Spatial index (spatial.go). Candidates come from nearest-first walks
 //     of a quadtree pyramid over the merging segments, whatever the
@@ -195,10 +199,12 @@ type greedyState struct {
 
 	// Gating-policy shape resolved at attachIndex (polMode) plus the
 	// scalars the zu fill rule needs: the per-λ clock wire capacitance
-	// and the forced-insertion threshold (polReduce only).
+	// and the forced-insertion threshold (polReduce only), and the IFT
+	// entries the parentP floor sums.
 	polMode  int
 	cWire    float64
 	forceCap float64
+	freq     lowFreq
 
 	// Arena-style recycling: fresh memo rows and dependent lists are
 	// carved from two slabs (three-index capped, so growth reallocates

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -231,7 +232,7 @@ func TestPairCostNearlySymmetric(t *testing.T) {
 	pairs, asym, worst := 0, 0, 0.0
 	for mi, opts := range modes {
 		for ki, kind := range kinds {
-			in := placedInstance(t, kind, n, uint64(3000+10*mi+ki))
+			in := placedInstance(t, kind, n, 8, uint64(3000+10*mi+ki))
 			tree, _, err := Route(in, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -269,4 +270,92 @@ func TestPairCostNearlySymmetric(t *testing.T) {
 		}
 	}
 	t.Logf("%d pairs, %d asymmetric, worst relative gap %.3g (margin %g)", pairs, asym, worst, staleMargin)
+}
+
+// TestBoundsAdmissible checks every bound the pyramid walk prunes with
+// against true pair costs, on the corpus TestPairCostNearlySymmetric
+// builds: routed 300-sink trees, every node against random partners,
+// under each gating-policy shape of the star modes and with 8, 32, 33 and
+// 70 instructions. Neither stage of the record bound (parentP floored at
+// max(P_q, P_m), then by the summed instruction words) and no region
+// bound over any pyramid region holding the partner may dominate
+// pairCost(q, m); the summed parentP floor may not exceed
+// SignalProbUnion, and with at most 32 instructions must equal it.
+func TestBoundsAdmissible(t *testing.T) {
+	p := tech.Default()
+	policies := []struct {
+		name string
+		pol  gating.Policy
+	}{
+		{"reduction", nil}, {"all", gating.All{}}, {"none", gating.None{}},
+		{"opaque", opaqueReduction(p)},
+	}
+	kinds := []string{"uniform", "clustered", "ring"}
+	const n, partners = 300, 12
+	rng := rand.New(rand.NewPCG(23, 31))
+	pairs, raised := 0, 0
+	for pi, pc := range policies {
+		for ki, k := range []int{8, 32, 33, 70} {
+			kind := kinds[(pi+ki)%len(kinds)]
+			in := placedInstance(t, kind, n, k, uint64(5000+10*pi+ki))
+			opts := Options{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: pc.pol}
+			tree, _, err := Route(in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Index every node of the routed tree: sinks through
+			// newGreedyState, merge nodes as the greedy enters them.
+			nodes := make([]*topology.Node, 2*n-1)
+			tree.Root.PreOrder(func(v *topology.Node) { nodes[v.ID] = v })
+			r := newRouter(context.Background(), in, opts)
+			g := r.newGreedyState(nodes[:n])
+			for _, v := range nodes[n:] {
+				g.byID[v.ID], g.alive[v.ID] = v, true
+				r.indexAdd(g, v)
+			}
+			idx := g.idx
+			for _, q := range nodes {
+				qc := g.makeQuery(q.ID)
+				for j := 0; j < partners; j++ {
+					m := nodes[rng.IntN(len(nodes))]
+					if m == q {
+						continue
+					}
+					name := fmt.Sprintf("%s k=%d %s: pair (%d, %d)", pc.name, k, kind, q.ID, m.ID)
+					cost, err := r.pairCost(q, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pairs++
+					mr := &g.recs[m.ID]
+					pp0 := max(qc.rec.wf, mr.wf)
+					pp := qc.ppFloor(pp0, mr.word)
+					if union := in.Profile.SignalProbUnion(q.Instr, m.Instr); pp > union || (k <= 32 && pp != union) {
+						t.Fatalf("%s: parentP floor %v, SignalProbUnion %v", name, pp, union)
+					}
+					if pp > pp0 {
+						raised++
+					}
+					dlb := qc.recordDLB(mr)
+					for stage, floor := range []float64{pp0, pp} {
+						if lb := qc.floorLB(mr.zu, mr.wf, mr.gf, mr.a, dlb, floor); dominated(lb, cost) {
+							t.Fatalf("%s: record bound stage %d = %v dominates pairCost %v", name, stage+1, lb, cost)
+						}
+					}
+					ci, cj := idx.coords(mr.u, mr.w)
+					for l := range idx.levels {
+						lv := &idx.levels[l]
+						rg := int32((cj>>lv.shift)*lv.cols + ci>>lv.shift)
+						if lb := idx.regionLB(&qc, l, rg, idx.regionBD(&qc, l, rg)); dominated(lb, cost) {
+							t.Fatalf("%s: level %d region bound %v dominates pairCost %v", name, l, lb, cost)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d pairs, summed parentP floor above max(P_q, P_m) on %d", pairs, raised)
+	if raised == 0 {
+		t.Fatal("the summed parentP floor never rose above max(P_q, P_m)")
+	}
 }

@@ -36,7 +36,7 @@ func TestMulticoreDigestProperty(t *testing.T) {
 		opts := modes[(i/len(kinds))%len(modes)]
 		n := 64 + (i*17)%144
 		name := fmt.Sprintf("%03d-%s-%s-n%d", i, kind, opts.Method, n)
-		in := placedInstance(t, kind, n, uint64(7000+i))
+		in := placedInstance(t, kind, n, 8, uint64(7000+i))
 
 		var ref string
 		for _, wk := range []int{1, 2, 8} {

@@ -9,35 +9,41 @@
 // (all sinks at one rotated midpoint) is a one-cell grid.
 //
 // Candidates live in the cells as cache-line-sized records (candRec): the
-// seven floats the hot filter reads travel together, so scanning a cell
-// streams contiguous memory.
+// seven floats and the instruction word the hot filter reads travel
+// together, so scanning a cell streams contiguous memory and a candidate
+// the record bound discards never touches its topology.Node.
 //
 // Two bound families drive the pruning (both derived in DESIGN.md §11):
 //
 //   - Geometric: midpoint Chebyshev distance minus the two radii lower-
 //     bounds the merging-segment distance, and WireCap is linear, so the
-//     unavoidable joining wire charges at least cWire·d·wfMin.
-//   - Gating-aware: Equation 3 charges a gated edge the control-star term
-//     (c_ctrl·dist(CP, mid) + C_g)·Ptr, which dominates pair costs on
-//     gated trees. Whenever the §4.3 forced-insertion rule is certain to
-//     fire — SubtreeCap ≥ Cap ≥ ForceCap at any merge distance — the edge
-//     is gated under every possible partner and the star term enters the
-//     node's unconditional floor zu; otherwise zu falls back to
-//     AttachCap·P, which both gating arms dominate (an ungated edge is
-//     charged at parentP ≥ P). On top of zu, the star modes bound the
-//     partner side by the minimum over its two gating arms: gated pays the
-//     full star cost gf plus wire at min(P_q, P_m); ungated pays attach
-//     and wire at parentP ≥ P_q. Either way the distance term carries at
-//     least the query's own activity — stop radii no longer depend on the
-//     laziest node in the index.
+//     unavoidable joining wire charges at least cWire·d times the cheaper
+//     side's per-λ weight.
+//   - Gating-aware: Equation 3 charges a gated edge into n
+//     (AttachCap + c·l)·P_n plus the control-star term (c_ctrl·dist(CP,
+//     mid) + C_g)·Ptr_n, and an ungated one (AttachCap + c·l)·parentP,
+//     where parentP is the IFT sum over the union of both subtrees'
+//     instruction sets. In the star modes with an ungated arm (gating.None,
+//     gating.Reduction, an opaque Policy) the bound is the minimum over the
+//     four (query arm × partner arm) combinations: a gated side pays its
+//     zero-length cost gf plus wire at its own P, an ungated side pays
+//     a·pp plus wire at pp, where pp floors parentP. The floor is
+//     max(P_q, P_m), raised — when neither word contains the other — by
+//     the IFT sum over the low 32 instructions of both nodes, a prefix of
+//     SignalProbUnion's terms (exact for K ≤ 32). Whenever the §4.3
+//     forced-insertion rule is certain to fire — SubtreeCap ≥ Cap ≥
+//     ForceCap at any merge distance — a node's edge is gated under every
+//     partner and its ungated arm drops out. gating.All has no ungated
+//     arm: its bound is the gated-gated one, with the star term of both
+//     sides. Classic modes charge the unconditional floors zu.
 //
-// Region aggregates (exact per-region floor minima and radius maxima,
-// monotone best-cost maxima and live occupant counts) are maintained at
-// every pyramid level, so one comparison discards a whole region; the
-// hierarchy is admissible by construction — a parent region's bound never
-// exceeds any child's, and a region's distance to the query is a true
-// point-to-rectangle gap — so a discarded region provably holds no
-// candidate the walk could still need.
+// Region aggregates (exact per-region floor minima, radius maxima and
+// instruction-word ANDs, monotone best-cost maxima and live occupant
+// counts) are maintained at every pyramid level, so one comparison
+// discards a whole region; the hierarchy is admissible by construction —
+// a parent region's bound never exceeds any child's, and a region's
+// distance to the query is a true point-to-rectangle gap — so a discarded
+// region provably holds no candidate the walk could still need.
 //
 // Everything here preserves the bit-identity contract of fastpath.go:
 //
@@ -58,14 +64,16 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/gating"
 	"repro/internal/topology"
 )
 
 // Gating-policy shapes the candidate filter distinguishes. The star
-// modes (polAll, polReduce, polOpaque) are the MinSwitchedCap + GatedTree
-// configurations whose gated edges carry the control-star term.
+// modes (polAll and above) are the MinSwitchedCap + GatedTree
+// configurations whose gated edges carry the control-star term; from
+// polNever on, an edge may also be ungated and charged at parentP.
 const (
 	polClassic = iota // lbFloor terms only (MinClockCapOnly, ungated driver modes)
 	polDist           // GreedyDistance: the pair cost is the MS distance itself
@@ -76,23 +84,23 @@ const (
 )
 
 // candRec is one indexed candidate, resident in its grid cell: the seven
-// floats the admissible filter reads plus the node ID, padded to one cache
-// line so a cell scan streams exactly len(cell) lines. A cell holds an
-// immutable copy of greedyState.recs[id] (a node's merging segment and
-// floor terms never change after creation).
+// floats the admissible filter reads, the node ID and its instruction
+// word, exactly one cache line so a cell scan streams len(cell) lines. A
+// cell holds an immutable copy of greedyState.recs[id] (a node's merging
+// segment, floor terms and instruction set never change after creation).
 type candRec struct {
 	u, w, rad float64 // rotated MS midpoint and Chebyshev radius
 	zu, wf    float64 // unconditional zero-length floor, per-λ wire weight
 	gf, a     float64 // star modes: gated-arm zero-length cost, ungated-arm attach cap
 	id        int32
-	_         int32 // pad to 64 bytes
+	word      uint32 // star modes: the node's instructions 0–31 (the parentP floor's bits)
 }
 
 // qlevel is one level of the region pyramid. Level 0 is the cell raster
-// itself; level l aggregates 2^l × 2^l cells per region. Floor minima and
-// radius maxima are exact over the live occupants: insertion folds them
-// in, removal recomputes them (remove). Best-cost maxima only grow between
-// rebuilds.
+// itself; level l aggregates 2^l × 2^l cells per region. Floor minima,
+// radius maxima and the instruction-word AND are exact over the live
+// occupants: insertion folds them in, removal recomputes them (remove).
+// Best-cost maxima only grow between rebuilds.
 type qlevel struct {
 	cols, rows int
 	shift      uint // log2 cells per region side
@@ -109,13 +117,20 @@ type regionAgg struct {
 	maxRad       float64 // max MS Chebyshev radius of any occupant
 	maxBest      float64 // monotone max of cached best[n].cost over occupants
 	count        int32   // live occupants
-	_            int32
-	_            int64 // pad to 64 bytes
+	and          uint32  // AND of the live occupants' words; all ones when empty
+	_            int64   // pad to 64 bytes
+}
+
+// emptyFloors resets the region's floors to those of an empty region:
+// +Inf minima, radius 0 and an all-ones word.
+func (ag *regionAgg) emptyFloors() {
+	inf := math.Inf(1)
+	ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.maxRad, ag.and = inf, inf, inf, inf, 0, ^uint32(0)
 }
 
 // fold folds one occupant's (or one child region's) floor terms into the
-// region's minima and radius maximum.
-func (ag *regionAgg) fold(zu, wf, gf, a, rad float64) {
+// region's minima, radius maximum and word AND.
+func (ag *regionAgg) fold(zu, wf, gf, a, rad float64, word uint32) {
 	if zu < ag.zuMin {
 		ag.zuMin = zu
 	}
@@ -131,6 +146,7 @@ func (ag *regionAgg) fold(zu, wf, gf, a, rad float64) {
 	if rad > ag.maxRad {
 		ag.maxRad = rad
 	}
+	ag.and &= word
 }
 
 // spatialScratch pools every allocation the grid needs across rebuilds:
@@ -197,14 +213,14 @@ func newSpatialGrid(scr *spatialScratch, capIDs int, minU, maxU, minW, maxW floa
 		scr.agg = make([]regionAgg, totalR)
 	}
 	agg := scr.agg[:totalR]
-	inf := math.Inf(1)
 	off := 0
 	for i := range lv {
 		r := lv[i].cols * lv[i].rows
 		lv[i].agg = agg[off : off+r : off+r]
 		off += r
 		for j := 0; j < r; j++ {
-			lv[i].agg[j] = regionAgg{zuMin: inf, wfMin: inf, gfMin: inf, aMin: inf}
+			lv[i].agg[j] = regionAgg{}
+			lv[i].agg[j].emptyFloors()
 		}
 	}
 	scr.levels = lv
@@ -263,18 +279,19 @@ func (x *spatialIndex) insert(rec candRec) {
 		lv := &x.levels[l]
 		ag := &lv.agg[(cj>>lv.shift)*lv.cols+ci>>lv.shift]
 		ag.count++
-		ag.fold(rec.zu, rec.wf, rec.gf, rec.a, rec.rad)
+		ag.fold(rec.zu, rec.wf, rec.gf, rec.a, rec.rad, rec.word)
 	}
 	x.count++
 }
 
 // remove deletes id from its cell by swap-removal, decrements the live
-// counts and keeps every floor exact: the cell's minima and radius maximum
-// are recomputed from its remaining records, then each ancestor's from its
-// ≤4 children, up to the first level the removal left unchanged — every
-// level above it folds unchanged children. An emptied region holds +Inf
-// minima and radius 0; maxBest stays a monotone maximum. In-cell order is
-// not part of the contract: scans take an order-independent argmin.
+// counts and keeps every floor exact: the cell's minima, radius maximum
+// and word AND are recomputed from its remaining records, then each
+// ancestor's from its ≤4 children, up to the first level the removal left
+// unchanged — every level above it folds unchanged children. An emptied
+// region holds empty floors (emptyFloors); maxBest stays a monotone
+// maximum. In-cell order is not part of the contract: scans take an
+// order-independent argmin.
 func (x *spatialIndex) remove(id int32) {
 	c := x.cellOf[id]
 	if c < 0 {
@@ -291,7 +308,6 @@ func (x *spatialIndex) remove(id int32) {
 	x.cells[c] = s
 	x.cellOf[id] = -1
 	ci, cj := int(c)%x.cols, int(c)/x.cols
-	inf := math.Inf(1)
 	dirty := true
 	for l := range x.levels {
 		lv := &x.levels[l]
@@ -302,17 +318,17 @@ func (x *spatialIndex) remove(id int32) {
 			continue
 		}
 		old := *ag
-		ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.maxRad = inf, inf, inf, inf, 0
+		ag.emptyFloors()
 		if l == 0 {
 			for i := range s {
-				ag.fold(s[i].zu, s[i].wf, s[i].gf, s[i].a, s[i].rad)
+				ag.fold(s[i].zu, s[i].wf, s[i].gf, s[i].a, s[i].rad, s[i].word)
 			}
 		} else {
 			clv := &x.levels[l-1]
 			for kj := rj * 2; kj <= rj*2+1 && kj < clv.rows; kj++ {
 				for ki := ri * 2; ki <= ri*2+1 && ki < clv.cols; ki++ {
 					k := &clv.agg[kj*clv.cols+ki]
-					ag.fold(k.zuMin, k.wfMin, k.gfMin, k.aMin, k.maxRad)
+					ag.fold(k.zuMin, k.wfMin, k.gfMin, k.aMin, k.maxRad, k.and)
 				}
 			}
 		}
@@ -345,29 +361,24 @@ func (x *spatialIndex) noteBest(id int32, cost float64) {
 // everything a region bound or per-candidate bound needs from the
 // searching node, loaded once per search.
 type queryCtx struct {
-	q        int32
+	rec      candRec // the query's own record: position, radius, floors, word
 	qci, qcj int     // query's (clamped) grid cell
 	qfu, qfw float64 // query's unclamped position in cell units
-	qU, qW   float64
-	qRad     float64
-	qZU, qWf float64
-	distMode bool
-	starMode bool
+	mode     int     // polMode
 	cWire    float64
+	freq     *lowFreq
 }
 
+// lowFreq is the per-route slice of the IFT the parentP floor reads:
+// P(I_k) for the instructions 0–31 that candRec.word carries.
+type lowFreq [32]float64
+
 func (g *greedyState) makeQuery(q int) queryCtx {
-	rec := &g.recs[q]
+	rec := g.recs[q]
 	ci, cj := g.idx.coords(rec.u, rec.w)
 	fu, fw := g.idx.cellPos(rec.u, rec.w)
-	return queryCtx{
-		q: int32(q), qci: ci, qcj: cj, qfu: fu, qfw: fw,
-		qU: rec.u, qW: rec.w, qRad: rec.rad,
-		qZU: rec.zu, qWf: rec.wf,
-		distMode: g.polMode == polDist,
-		starMode: g.polMode >= polAll,
-		cWire:    g.cWire,
-	}
+	return queryCtx{rec: rec, qci: ci, qcj: cj, qfu: fu, qfw: fw,
+		mode: g.polMode, cWire: g.cWire, freq: &g.freq}
 }
 
 // regionBD returns the Chebyshev gap, in cell units, from the query's
@@ -390,46 +401,131 @@ func (x *spatialIndex) gapDist(bd float64) float64 {
 	return max(0, bd-1e-9) * x.cell
 }
 
+// floorLB lower-bounds pairCost(q, m) for every partner m whose floor
+// terms are at least zu, wf, gf and a, whose merging segment lies at
+// Chebyshev distance ≥ dlb from the query's, and whose merged enable has
+// signal probability ≥ pp, where pp ≥ max(P_q, wf). In the star modes wf
+// is the partner's P. The wire term charges dlb at the cheaper side's
+// per-λ weight — a gated side's own P, an ungated side's parentP ≥ pp.
+// gating.All has only the gated-gated arm (its a is +Inf everywhere);
+// the modes with an ungated arm take the minimum over the four (query arm
+// × partner arm) combinations. An arm a mode rules out carries +Inf (or
+// NaN, when pp is 0) and never wins a comparison, so it drops out.
+func (qc *queryCtx) floorLB(zu, wf, gf, a, dlb, pp float64) float64 {
+	q := &qc.rec
+	cd := qc.cWire * dlb
+	w := q.wf
+	if wf < w {
+		w = wf
+	}
+	switch qc.mode {
+	case polDist:
+		return dlb
+	case polClassic:
+		return q.zu + zu + cd*w
+	case polAll:
+		return gf + cd*w + q.zu
+	}
+	lb := q.gf + gf + cd*w // both gated
+	if u := q.gf + a*pp + cd*q.wf; u < lb {
+		lb = u // partner ungated
+	}
+	if u := q.a*pp + gf + cd*wf; u < lb {
+		lb = u // query ungated
+	}
+	if u := (q.a + a + cd) * pp; u < lb {
+		lb = u // both ungated
+	}
+	return lb
+}
+
+// ppFloor raises a parentP floor pp with the IFT sum over the low 32
+// instructions of the query's word OR'd with word, which is a subset of
+// every partner's word: the sum adds, in SignalProbUnion's own order, a
+// prefix of that function's terms, so it never exceeds the true parentP
+// and equals it for K ≤ 32. When one word contains the other the sum is
+// at most that side's P, already in pp, and is skipped.
+func (qc *queryCtx) ppFloor(pp float64, word uint32) float64 {
+	u := qc.rec.word | word
+	if u == qc.rec.word || u == word {
+		return pp
+	}
+	s := 0.0
+	for ; u != 0; u &= u - 1 {
+		s += qc.freq[bits.TrailingZeros32(u)]
+	}
+	if s > pp {
+		return s
+	}
+	return pp
+}
+
+// recordDLB is the Chebyshev distance between the query's and m's
+// midpoints minus both radii, clamped at 0: a floor on the
+// merging-segment distance.
+func (qc *queryCtx) recordDLB(m *candRec) float64 {
+	q := &qc.rec
+	d := math.Abs(q.u - m.u)
+	if dw := math.Abs(q.w - m.w); dw > d {
+		d = dw
+	}
+	if d = d - q.rad - m.rad; d > 0 {
+		return d
+	}
+	return 0
+}
+
+// recordPruned is the per-candidate filter both walkers run before the
+// memo probe and pairCostGated: it reports whether the admissible bound of
+// pairCost(q, m), computed from the two records alone, strictly dominates
+// thr. floorLB runs first with parentP floored at max(P_q, P_m); in the
+// modes with an ungated arm a survivor is judged again with the
+// summed-word floor (ppFloor). The bound only grows with its floor, so
+// the two stages decide exactly as the second alone would. Pruning a
+// memoized candidate is harmless: the bound proves its cached cost loses
+// the argmin anyway.
+func (qc *queryCtx) recordPruned(m *candRec, thr float64) bool {
+	dlb := qc.recordDLB(m)
+	pp := qc.rec.wf
+	if m.wf > pp {
+		pp = m.wf
+	}
+	if dominated(qc.floorLB(m.zu, m.wf, m.gf, m.a, dlb, pp), thr) {
+		return true
+	}
+	if qc.mode < polNever {
+		return false // no ungated arm: parentP never enters the bound
+	}
+	if s := qc.ppFloor(pp, m.word); s > pp {
+		return dominated(qc.floorLB(m.zu, m.wf, m.gf, m.a, dlb, s), thr)
+	}
+	return false
+}
+
 // regionLB lower-bounds pairCost(q, m) for every occupant m of region rg,
 // given the region's gap bd (the caller already computed it for the
-// nearest-first ordering — bounds are never paid twice per region) at
-// level l: every occupant's center sits at Chebyshev distance
-// ≥ gapDist(bd) from the query's, discounted by the query's radius
-// and the region's own maximum occupant radius — the same admissible form
-// as the per-candidate filter, evaluated against the region's floor
-// minima. A NaN (an ∞ arm multiplied by a zero activity weight) carries no
+// nearest-first ordering — gaps are never paid twice per region) at level
+// l: every occupant's center sits at Chebyshev distance ≥ gapDist(bd)
+// from the query's, discounted by the query's radius and the region's own
+// maximum occupant radius — floorLB evaluated against the region's floor
+// minima, with parentP floored by the query's word OR'd with the region's
+// word AND. Unlike the record bound it runs in one stage: a two-stage
+// region check routed the 100k-sink instance no faster. A NaN carries no
 // information and collapses to 0, which is always admissible.
 func (x *spatialIndex) regionLB(qc *queryCtx, l int, rg int32, bd float64) float64 {
 	ag := &x.levels[l].agg[rg]
-	dlb := x.gapDist(bd) - qc.qRad - ag.maxRad
+	dlb := x.gapDist(bd) - qc.rec.rad - ag.maxRad
 	if dlb < 0 {
 		dlb = 0
 	}
-	var lb float64
-	switch {
-	case qc.distMode:
-		return dlb
-	case qc.starMode:
-		wf := qc.qWf
-		if ag.wfMin < wf {
-			wf = ag.wfMin
-		}
-		lb = ag.gfMin + qc.cWire*dlb*wf
-		pm := qc.qWf
-		if ag.wfMin > pm {
-			pm = ag.wfMin
-		}
-		if u := ag.aMin*pm + qc.cWire*dlb*qc.qWf; u < lb {
-			lb = u
-		}
-		lb += qc.qZU
-	default:
-		wf := qc.qWf
-		if ag.wfMin < wf {
-			wf = ag.wfMin
-		}
-		lb = qc.qZU + ag.zuMin + qc.cWire*dlb*wf
+	pp := qc.rec.wf
+	if ag.wfMin > pp {
+		pp = ag.wfMin
 	}
+	if qc.mode >= polNever {
+		pp = qc.ppFloor(pp, ag.and)
+	}
+	lb := qc.floorLB(ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, dlb, pp)
 	if math.IsNaN(lb) {
 		return 0
 	}
@@ -437,6 +533,7 @@ func (x *spatialIndex) regionLB(qc *queryCtx, l int, rg int32, bd float64) float
 }
 
 // attachIndex resolves the gating-policy mode of the candidate filter,
+// copies the IFT entries of instructions 0–31 for the parentP floor,
 // registers every sink's candidate record with its memo row and
 // reverse-dependent list, lays out the per-worker search scratch and the
 // memo/dependent slabs, and builds the grid over the sinks.
@@ -457,6 +554,11 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 			g.forceCap = p.ForceCap
 		default:
 			g.polMode = polOpaque
+		}
+	}
+	if p := r.in.Profile; p != nil {
+		for k := 0; k < len(g.freq) && k < p.ISA.NumInstr(); k++ {
+			g.freq[k] = p.Freq(k)
 		}
 	}
 	capIDs := len(g.byID)
@@ -493,7 +595,8 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 // partner. a is its attach capacitance, the ungated arm's zero-length
 // multiplier of parentP. An arm the mode rules out holds +Inf: a
 // certainly-gated edge has no ungated arm (a), gating.None has no gated
-// one (gf). Serial sections only.
+// one (gf). word holds the node's instructions 0–31, the bits the parentP
+// floor sums. Serial sections only.
 func (r *router) indexRegister(g *greedyState, n *topology.Node) {
 	u, w, rad := n.MSKey()
 	zero, wf := r.lbFloor(n)
@@ -504,6 +607,9 @@ func (r *router) indexRegister(g *greedyState, n *topology.Node) {
 			p := &r.opts.Tech
 			star := r.controller.StarDist(n.MS.Center())
 			rec.gf = n.AttachCap*n.P + (p.CtrlCapPerLambda*star+p.Gate.Cin)*n.Ptr
+		}
+		if len(n.Instr) > 0 {
+			rec.word = uint32(n.Instr[0])
 		}
 		if g.polMode == polAll || (g.polMode == polReduce && g.forceCap > 0 && n.Cap >= g.forceCap) {
 			rec.zu = rec.gf // certainly gated: the star is unconditional
@@ -705,75 +811,23 @@ func (sw *searchWalker) region(l int, rg int32, bd float64) {
 	}
 }
 
-// scanCell streams one cell's candidate records through the admissible
-// filter, the memo and the gated evaluation, folding each survivor into
-// the running (cost, then partner ID) argmin. The filter bounds
-// pairCost(q, m) from below: the midpoint Chebyshev distance minus the two
-// radii lower-bounds the merging-segment distance (WireCap is linear), the
-// query side contributes its unconditional zero-length floor zu plus wire
-// at its own weight, and in the star modes the partner side is the
-// minimum over its two gating arms — gated pays gf plus wire at
-// min(P_q, P_m), ungated pays a and wire at parentP ≥ max(P_q, P_m) ≥ P_q.
-// Arms a mode rules out carry +Inf and drop out of the minimum. regionLB
-// is the same bound over region aggregates. The filter runs before the
-// memo probe — pruning a memoized candidate is harmless, because the
-// bound proves its cached cost loses the argmin anyway.
+// scanCell streams one cell's candidate records through the record bound
+// (recordPruned), the memo and the gated evaluation, folding each survivor
+// into the running (cost, then partner ID) argmin.
 func (sw *searchWalker) scanCell(c int32) {
 	g, r, n := sw.g, sw.r, sw.n
 	q := n.ID
 	recs := g.idx.cells[c]
-	qU, qW, qRad := sw.qc.qU, sw.qc.qW, sw.qc.qRad
-	qZU, qWf := sw.qc.qZU, sw.qc.qWf
-	distMode, starMode, cWire := sw.qc.distMode, sw.qc.starMode, sw.qc.cWire
 	for i := range recs {
 		rec := &recs[i]
 		id := rec.id
-		if id == sw.qc.q {
+		if id == sw.qc.rec.id {
 			continue
 		}
 		sw.examined++
-		mu, mw, mrad := rec.u, rec.w, rec.rad
-		mzu, mwf, mgf, ma := rec.zu, rec.wf, rec.gf, rec.a
-		if sw.found {
-			du := qU - mu
-			if du < 0 {
-				du = -du
-			}
-			if dw := qW - mw; dw > du {
-				du = dw
-			} else if -dw > du {
-				du = -dw
-			}
-			dlb := du - qRad - mrad
-			if dlb < 0 {
-				dlb = 0
-			}
-			lb := dlb
-			if starMode {
-				wf := qWf
-				if mwf < wf {
-					wf = mwf
-				}
-				lb = mgf + cWire*dlb*wf
-				pm := qWf
-				if mwf > pm {
-					pm = mwf
-				}
-				if u := ma*pm + cWire*dlb*qWf; u < lb {
-					lb = u
-				}
-				lb += qZU
-			} else if !distMode {
-				wf := qWf
-				if mwf < wf {
-					wf = mwf
-				}
-				lb = qZU + mzu + cWire*dlb*wf
-			}
-			if dominated(lb, sw.out.cost) {
-				sw.skipped++
-				continue
-			}
+		if sw.found && sw.qc.recordPruned(rec, sw.out.cost) {
+			sw.skipped++
+			continue
 		}
 		m := g.byID[id]
 		var cost float64
@@ -975,70 +1029,31 @@ func (fw *foldWalker) region(l int, rg int32, bd float64) {
 	}
 }
 
-// scanCell streams one cell's candidate records through the admissible
-// filter and the gated evaluation, folding each survivor into ck and
-// applying strict improvements. The per-candidate prune threshold is the
-// larger of best[id] and ck — a discarded candidate then provably neither
-// becomes ck nor improves best[id]. There is no memo probe: k is fresh and
-// no search runs between its merge and this walk, so no row holds it yet;
-// the evaluated costs are stored for the rescans that follow.
+// scanCell streams one cell's candidate records through the record bound
+// (recordPruned) and the gated evaluation, folding each survivor into ck
+// and applying strict improvements. The per-candidate prune threshold is
+// the larger of best[id] and ck — a discarded candidate then provably
+// neither becomes ck nor improves best[id]. There is no memo probe: k is
+// fresh and no search runs between its merge and this walk, so no row
+// holds it yet; the evaluated costs are stored for the rescans that
+// follow.
 func (fw *foldWalker) scanCell(c int32) {
 	g, r, k := fw.g, fw.r, fw.k
 	recs := g.idx.cells[c]
-	qU, qW, qRad := fw.qc.qU, fw.qc.qW, fw.qc.qRad
-	qZU, qWf := fw.qc.qZU, fw.qc.qWf
-	distMode, starMode, cWire := fw.qc.distMode, fw.qc.starMode, fw.qc.cWire
 	for i := range recs {
 		rec := &recs[i]
 		id := rec.id
-		if id == fw.qc.q {
+		if id == fw.qc.rec.id {
 			continue
 		}
 		fw.examined++
-		mu, mw, mrad := rec.u, rec.w, rec.rad
-		mzu, mwf, mgf, ma := rec.zu, rec.wf, rec.gf, rec.a
 		thr := math.Inf(1)
 		if fw.found {
 			thr = g.best[id].cost
 			if fw.ck.cost > thr {
 				thr = fw.ck.cost
 			}
-			du := qU - mu
-			if du < 0 {
-				du = -du
-			}
-			if dw := qW - mw; dw > du {
-				du = dw
-			} else if -dw > du {
-				du = -dw
-			}
-			dlb := du - qRad - mrad
-			if dlb < 0 {
-				dlb = 0
-			}
-			lb := dlb
-			if starMode {
-				wf := qWf
-				if mwf < wf {
-					wf = mwf
-				}
-				lb = mgf + cWire*dlb*wf
-				pm := qWf
-				if mwf > pm {
-					pm = mwf
-				}
-				if u := ma*pm + cWire*dlb*qWf; u < lb {
-					lb = u
-				}
-				lb += qZU
-			} else if !distMode {
-				wf := qWf
-				if mwf < wf {
-					wf = mwf
-				}
-				lb = qZU + mzu + cWire*dlb*wf
-			}
-			if dominated(lb, thr) {
+			if fw.qc.recordPruned(rec, thr) {
 				fw.skipped++
 				continue
 			}

@@ -21,7 +21,8 @@ import (
 // (equidistant ties), duplicated points (zero merging-segment distance,
 // pure ID tie-breaks), a diagonal line (degenerate in one rotated
 // coordinate) and every sink at one point (a zero-span, one-cell grid).
-func placedInstance(t testing.TB, kind string, n int, seed uint64) *Instance {
+// The ISA has k instructions.
+func placedInstance(t testing.TB, kind string, n, k int, seed uint64) *Instance {
 	t.Helper()
 	const side = 4000.0
 	rng := rand.New(rand.NewPCG(seed, 0x5a71a1^uint64(n)))
@@ -60,7 +61,7 @@ func placedInstance(t testing.TB, kind string, n int, seed uint64) *Instance {
 		in.SinkLocs = append(in.SinkLocs, p)
 		in.SinkCaps = append(in.SinkCaps, 20+rng.Float64()*80)
 	}
-	d, err := isa.Generate(isa.GenConfig{NumModules: n, NumInstr: 8, Usage: 0.4, Scatter: 0.3}, rng)
+	d, err := isa.Generate(isa.GenConfig{NumModules: n, NumInstr: k, Usage: 0.4, Scatter: 0.3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +71,19 @@ func placedInstance(t testing.TB, kind string, n int, seed uint64) *Instance {
 		t.Fatal(err)
 	}
 	return in
+}
+
+// opaquePolicy hides a gating.Reduction behind a type the router does not
+// recognize, so the candidate filter takes its opaque shape (polOpaque):
+// both gating arms stay possible for every edge.
+type opaquePolicy struct{ r gating.Reduction }
+
+func (o opaquePolicy) Gate(e gating.EdgeInfo) bool { return o.r.Gate(e) }
+
+// opaqueReduction is the default reduction of placedInstance's die behind
+// opaquePolicy.
+func opaqueReduction(p tech.Params) gating.Policy {
+	return opaquePolicy{gating.DefaultReduction(p.Gate.Cin, 4000)}
 }
 
 func clampF(v, lo, hi float64) float64 {
@@ -84,13 +98,15 @@ func clampF(v, lo, hi float64) float64 {
 
 // TestSpatialMatchesExhaustiveProperty is the differential property test of
 // the candidate engine: across 200 random instances — every placement
-// shape, every indexed method, 2 to 207 sinks — the pyramid-walking fast
-// path must produce the bit-identical tree (same digest) as the reference
-// greedy's exhaustive all-pairs scan (Options.Reference), with the
-// per-merge dependent-list audit switched on. Any admissibility bug in
-// the region or candidate floors, any tie-break divergence in the argmin,
-// and any staleness bug in the incremental insert/remove path shows up
-// here as a digest mismatch or a failed audit.
+// shape, every indexed method and gating-policy shape, 2 to 207 sinks,
+// and 8, 32, 33 or 70 instructions (below, at and past the 32 the
+// parentP floor sums) — the pyramid-walking fast path must produce the
+// bit-identical tree (same digest) as the reference greedy's exhaustive
+// all-pairs scan (Options.Reference), with the per-merge dependent-list
+// audit switched on. Any admissibility bug in the region or candidate
+// floors, any tie-break divergence in the argmin, and any staleness bug
+// in the incremental insert/remove path shows up here as a digest
+// mismatch or a failed audit.
 func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential property test routes 400 instances")
@@ -99,21 +115,25 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 	defer func() { debugDepsCheck = false }()
 	p := tech.Default()
 	modes := []Options{
-		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree},                        // polReduce
-		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.All{}},  // polAll
-		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.None{}}, // polNever
-		{Tech: p, Method: MinClockCapOnly, Drivers: GatedTree},                       // polClassic
-		{Tech: p, Method: GreedyDistance, Drivers: BareTree},                         // polDist
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree},                             // polReduce
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.All{}},       // polAll
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.None{}},      // polNever
+		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: opaqueReduction(p)}, // polOpaque
+		{Tech: p, Method: MinClockCapOnly, Drivers: GatedTree},                            // polClassic
+		{Tech: p, Method: GreedyDistance, Drivers: BareTree},                              // polDist
 	}
 	kinds := []string{"uniform", "clustered", "hotspot", "ring", "dup", "line", "coincident"}
+	// K steps every two cases, so every kind and every mode meets every K.
+	ks := []int{8, 32, 33, 70}
 
 	const cases = 200
 	for i := 0; i < cases; i++ {
 		kind := kinds[i%len(kinds)]
 		opts := modes[(i/len(kinds))%len(modes)]
 		n := 2 + (i*13)%206
-		name := fmt.Sprintf("%03d-%s-%s-n%d", i, kind, opts.Method, n)
-		in := placedInstance(t, kind, n, uint64(1000+i))
+		k := ks[(i/2)%len(ks)]
+		name := fmt.Sprintf("%03d-%s-%s-n%d-k%d", i, kind, opts.Method, n, k)
+		in := placedInstance(t, kind, n, k, uint64(1000+i))
 
 		fast, fs, err := Route(in, opts)
 		if err != nil {
@@ -139,8 +159,9 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 // (insert, remove, noteBest) over a grid whose origin the input shifts by
 // up to ~1e9, and cross-checks it against a flat mirror model: membership,
 // per-cell bucketing of full records, the per-level region occupant
-// counts, floor minima and radius maxima exactly equal to the values
-// recomputed from the live occupants, the monotone maxBest hierarchy the
+// counts, floor minima, radius maxima and instruction-word ANDs exactly
+// equal to the values recomputed from the live occupants (all ones for an
+// empty region's AND), the monotone maxBest hierarchy the
 // fold-in prunes against, and — for query points inside the grid and
 // beyond each edge — region gaps whose guarded distance never exceeds the
 // Chebyshev distance to any live occupant, clamped ones included.
@@ -175,6 +196,9 @@ func FuzzSpatialIndex(f *testing.F) {
 						gf:  float64(data[i+1]) + float64(data[i+2])/4,
 						a:   float64(data[i+2]%32) * 5,
 						id:  id,
+						// Two bits clear at most, so ANDs of a few
+						// occupants stay non-trivial.
+						word: ^(1<<(data[i+1]%32) | 1<<(data[i+2]>>3)),
 					}
 					x.insert(rec)
 					m[id] = mirror{live: true, rec: rec}
@@ -263,7 +287,7 @@ func FuzzSpatialIndex(f *testing.F) {
 			}
 			want := make([]regionAgg, nr)
 			for rg := range want {
-				want[rg] = regionAgg{zuMin: inf, wfMin: inf, gfMin: inf, aMin: inf}
+				want[rg] = regionAgg{zuMin: inf, wfMin: inf, gfMin: inf, aMin: inf, and: ^uint32(0)}
 			}
 			regionOf := func(id int32) int {
 				ci, cj := x.coords(m[id].rec.u, m[id].rec.w)
@@ -277,6 +301,7 @@ func FuzzSpatialIndex(f *testing.F) {
 				w.zuMin, w.wfMin = math.Min(w.zuMin, r.zu), math.Min(w.wfMin, r.wf)
 				w.gfMin, w.aMin = math.Min(w.gfMin, r.gf), math.Min(w.aMin, r.a)
 				w.maxRad = math.Max(w.maxRad, r.rad)
+				w.and &= r.word
 				if ag := &lv.agg[regionOf(id)]; m[id].best > 0 && ag.maxBest < m[id].best {
 					t.Fatalf("level %d maxBest %v below noted best %v",
 						l, ag.maxBest, m[id].best)
@@ -289,10 +314,10 @@ func FuzzSpatialIndex(f *testing.F) {
 						l, rg, ag.count, sum[rg])
 				}
 				if ag.zuMin != w.zuMin || ag.wfMin != w.wfMin || ag.gfMin != w.gfMin ||
-					ag.aMin != w.aMin || ag.maxRad != w.maxRad {
-					t.Fatalf("level %d region %d floors (zu %v wf %v gf %v a %v rad %v), exact (zu %v wf %v gf %v a %v rad %v)",
-						l, rg, ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.maxRad,
-						w.zuMin, w.wfMin, w.gfMin, w.aMin, w.maxRad)
+					ag.aMin != w.aMin || ag.maxRad != w.maxRad || ag.and != w.and {
+					t.Fatalf("level %d region %d floors (zu %v wf %v gf %v a %v rad %v and %#x), exact (zu %v wf %v gf %v a %v rad %v and %#x)",
+						l, rg, ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.maxRad, ag.and,
+						w.zuMin, w.wfMin, w.gfMin, w.aMin, w.maxRad, w.and)
 				}
 			}
 			for _, q := range queries {
