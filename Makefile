@@ -37,11 +37,15 @@ bench:
 # budget, the 300·N cap on candidates and 230·N cap on regions visited
 # (bounds blind to the merged enable, stale region floors or cell-rounded
 # region distances fail them), plus the 8·N cap on index searches (a
-# return to eager per-merge rescans fails it). Catches gross ns/op, allocs/op, candidate-bound and search-count
-# regressions without paying for a statistically meaningful benchmark run.
+# return to eager per-merge rescans fails it), and the pair-evaluation
+# caps of the schedules that once scanned all pairs: 10·N on r5 buffered
+# (nearest-neighbour rounds) and 25·N on r2 activity-driven (an all-pairs
+# scan reads thousands·N). Catches gross ns/op, allocs/op, candidate-bound,
+# search-count and quadratic-scan regressions without paying for a
+# statistically meaningful benchmark run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRoute$$|BenchmarkConstructScaling/N=(128|1024)$$' -benchtime 1x -benchmem .
-	$(GO) test -run 'TestRouteAllocationCeiling|TestCandidateBudget16k' .
+	$(GO) test -run 'TestRouteAllocationCeiling|TestCandidateBudget16k|TestPairEvalBudget' .
 
 # Benchmark smoke: the perf module's tests (its own go.mod, so the root
 # `go test ./...` skips it) run every workload at tiny scale and check the

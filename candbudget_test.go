@@ -68,3 +68,42 @@ func TestCandidateBudget16k(t *testing.T) {
 		t.Errorf("%d index searches, budget 8·N = %d", s.IndexSearches, limit)
 	}
 }
+
+// TestPairEvalBudget guards the greedy schedules that used to scan all
+// pairs: NearestNeighbor's rounds, which build the paper's buffered
+// baseline, and ActivityDriven. Both must walk the pyramid, and their
+// pair evaluations must stay linear in N: r5 buffered measured 19,689
+// (6.3·N) against 15,383,252 (4,961·N) for the all-pairs nominations, and
+// r2 activity-driven 9,049 (15.1·N) against 1,766,752 (2,954·N) for the
+// reference greedy. Two routes of a few tens of milliseconds, so it runs
+// in every `go test`, -short included.
+func TestPairEvalBudget(t *testing.T) {
+	activity := gatedclock.GatedReducedOptions()
+	activity.Method = gatedclock.ActivityDriven
+	for _, c := range []struct {
+		bench, label string
+		opts         gatedclock.Options
+		perN         int
+	}{
+		{"r5", "buffered", gatedclock.BufferedOptions(), 10},
+		{"r2", "activity-driven", activity, 25},
+	} {
+		d, err := gatedclock.NewDesign(gatedclock.MustStandardBenchmark(c.bench))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Route(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, n := res.Stats, d.Bench.NumSinks()
+		t.Logf("%s %s: %d pair evals (%.1f·N), %d index searches", c.bench, c.label,
+			s.PairEvals, float64(s.PairEvals)/float64(n), s.IndexSearches)
+		if s.IndexSearches == 0 {
+			t.Errorf("%s %s did not search the spatial index", c.bench, c.label)
+		}
+		if limit := c.perN * n; s.PairEvals > limit {
+			t.Errorf("%s %s: %d pair evals, budget %d·N = %d", c.bench, c.label, s.PairEvals, c.perN, limit)
+		}
+	}
+}

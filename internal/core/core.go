@@ -156,14 +156,15 @@ type Options struct {
 	// Workers sets the number of goroutines used for the best-partner
 	// searches of the greedy's initial scan. The reference greedy also
 	// fans out its per-merge rescans and fold-in; the fast path rescans
-	// orphaned nodes lazily, one at a time. 0 uses GOMAXPROCS; 1 forces
-	// serial execution. Results are identical regardless of the worker
-	// count.
+	// orphaned nodes lazily, one at a time, and nearest-neighbour rounds
+	// search serially. 0 uses GOMAXPROCS; 1 forces serial execution.
+	// Results are identical regardless of the worker count.
 	Workers int
 	// Reference runs the unaccelerated greedy (no pair-cost memo, no
-	// lower-bound pruning, linear cheapest scan). Output is bit-identical
-	// to the fast path; it exists as the oracle for equivalence tests and
-	// for benchmarking the optimization layers.
+	// lower-bound pruning, linear cheapest scan) for the one-pair-at-a-time
+	// methods; NearestNeighbor and MeansAndMedians ignore it. Output is
+	// bit-identical to the fast path; it exists as the oracle for
+	// equivalence tests and for benchmarking the optimization layers.
 	Reference bool
 	// Verify runs the independent post-construction checker
 	// (internal/verify) on the finished tree: re-derived Elmore skew,
@@ -277,16 +278,15 @@ type Stats struct {
 	// are not counted.
 	PairMemoStores int
 
-	// Spatial-index counters (spatial.go); all zero when no fast-path
-	// greedy ran (ActivityDriven, NearestNeighbor, MeansAndMedians, the
-	// reference path, a single sink).
+	// Spatial-index counters (spatial.go); all zero when no pyramid walk
+	// ran (MeansAndMedians, the reference path, a single sink).
 	IndexSearches   int // quadtree walks (best-partner + fold-in)
 	IndexCandidates int // candidates that reached the per-candidate filter
 	// IndexRegionsVisited counts quadtree regions expanded or scanned —
 	// regions that survived the occupancy and dominance checks; the budget
 	// it tracks is how much of the pyramid a search touches.
 	IndexRegionsVisited int
-	IndexRebuilds       int // grid rebuilds after the active set halved
+	IndexRebuilds       int // grid rebuilds: active set halved, or a new nearest-neighbour round
 	// IndexNeighborhood is a histogram of per-search filter-touched
 	// candidate counts; bucket i counts searches that examined at most 2^i
 	// candidates (the last bucket is unbounded). Candidates discarded at
@@ -295,7 +295,7 @@ type Stats struct {
 	IndexNeighborhood [12]int
 
 	// Wall time per construction phase.
-	PhaseInit   time.Duration // initial all-pairs best-partner scan
+	PhaseInit   time.Duration // initial best-partner scan (one-pair-at-a-time greedy)
 	PhaseGreedy time.Duration // merge loop (rescans, fold-ins, heap)
 	PhaseEmbed  time.Duration // root finishing, embedding, validation
 
@@ -413,12 +413,12 @@ func RouteContext(ctx context.Context, in *Instance, opts Options) (*topology.Tr
 
 // usesFastPath reports whether the method is served by the accelerated
 // greedy of fastpath.go (and therefore has the reference greedy to fall
-// back on): the one-pair-at-a-time methods whose pair cost admits the
-// geometric bound the spatial index prunes with. ActivityDriven orders
-// merges by the merged signal probability, which no midpoint distance
-// bounds, so it routes through the reference greedy directly.
+// back on): the one-pair-at-a-time methods. NearestNeighbor's rounds walk
+// the same pyramid but have no reference twin; MeansAndMedians searches
+// nothing.
 func usesFastPath(m Method) bool {
-	return m == MinSwitchedCap || m == MinClockCapOnly || m == GreedyDistance
+	return m == MinSwitchedCap || m == MinClockCapOnly || m == GreedyDistance ||
+		m == ActivityDriven
 }
 
 // routeOnce runs one construction attempt end to end: build, embed,
@@ -632,7 +632,7 @@ func (r *router) run() (*topology.Tree, error) {
 		root, err = r.runRounds()
 	case r.opts.Method == MeansAndMedians:
 		root, err = r.runMMM()
-	case r.opts.Reference || !usesFastPath(r.opts.Method):
+	case r.opts.Reference:
 		root, err = r.runGreedyReference()
 	default:
 		root, err = r.runGreedyProtected()
@@ -659,30 +659,34 @@ func (r *router) run() (*topology.Tree, error) {
 
 // runRounds implements the nearest-neighbour matching schedule: rounds of
 // greedy minimum-distance matching, each round merging as many disjoint
-// nearest pairs as possible.
+// nearest pairs as possible. Every node of the round nominates its nearest
+// neighbour by a pyramid walk over a grid of exactly the round's starting
+// set (the polDist bound: the pair cost is the sector distance), under the
+// (distance, then partner ID) argmin an all-pairs scan takes; nominations
+// are matched in (distance, then node ID) order. Merge nodes are
+// registered for the next round's grid, never inserted into this one.
 func (r *router) runRounds() (*topology.Node, error) {
 	active := r.makeSinks()
+	if len(active) == 1 {
+		return active[0], nil
+	}
+	g := r.newGreedyState(active)
+	type pair struct {
+		a, b *topology.Node
+		d    float64
+	}
+	cands := make([]pair, 0, len(active))
 	for len(active) > 1 {
-		type pair struct {
-			a, b *topology.Node
-			d    float64
-		}
-		// Each node nominates its nearest neighbour.
-		cands := make([]pair, 0, len(active))
-		for i, n := range active {
-			var best *topology.Node
-			bestD := 0.0
-			for j, m := range active {
-				if i == j {
-					continue
-				}
-				r.pairEvals.Add(1)
-				if d := n.MS.Dist(m.MS); best == nil || d < bestD ||
-					(d == bestD && m.ID < best.ID) {
-					best, bestD = m, d
-				}
+		cands = cands[:0]
+		for _, n := range active {
+			if err := r.checkCtx(); err != nil {
+				return nil, err
 			}
-			cands = append(cands, pair{a: n, b: best, d: bestD})
+			c, err := r.bestPartnerIndexed(g, n, 0)
+			if err != nil {
+				return nil, err
+			}
+			cands = append(cands, pair{a: n, b: c.partner, d: c.cost})
 		}
 		sort.Slice(cands, func(i, j int) bool {
 			if cands[i].d != cands[j].d {
@@ -690,10 +694,10 @@ func (r *router) runRounds() (*topology.Node, error) {
 			}
 			return cands[i].a.ID < cands[j].a.ID
 		})
-		used := make(map[*topology.Node]bool, len(active))
+		// alive doubles as the round's "not yet matched" mark.
 		var next []*topology.Node
 		for _, c := range cands {
-			if used[c.a] || used[c.b] {
+			if !g.alive[c.a.ID] || !g.alive[c.b.ID] {
 				continue
 			}
 			k, err := r.merge(c.a, c.b)
@@ -701,15 +705,24 @@ func (r *router) runRounds() (*topology.Node, error) {
 				return nil, err
 			}
 			r.stats.Merges++
-			used[c.a], used[c.b] = true, true
+			g.alive[c.a.ID], g.alive[c.b.ID] = false, false
+			g.byID[k.ID] = k
+			g.rows[k.ID], g.rows[c.a.ID] = g.rows[c.a.ID][:0], nil // a searches no more
+			r.indexRegister(g, k)
 			next = append(next, k)
 		}
 		for _, n := range active {
-			if !used[n] {
+			if g.alive[n.ID] {
 				next = append(next, n)
 			}
 		}
+		for _, k := range next {
+			g.alive[k.ID] = true
+		}
 		active = next
+		if len(active) > 1 {
+			r.rebuildIndex(g)
+		}
 	}
 	return active[0], nil
 }
@@ -767,9 +780,10 @@ func locsOf(nodes []*topology.Node) []geom.Point {
 
 // runGreedyReference implements the one-pair-at-a-time schedule of the
 // paper's pseudocode, ordered by pairCost (Equation 3 for MinSwitchedCap,
-// sector distance for GreedyDistance), with no caching or pruning. It is
-// the oracle the fast path in fastpath.go must match bit-for-bit, the
-// FallbackOnError target, and the engine of ActivityDriven.
+// sector distance for GreedyDistance, merged signal probability for
+// ActivityDriven), with no caching or pruning. It is no method's engine:
+// it remains the oracle the fast path in fastpath.go must match
+// bit-for-bit (Options.Reference) and the FallbackOnError target.
 func (r *router) runGreedyReference() (*topology.Node, error) {
 	initStart := time.Now()
 	active := r.makeSinks()
@@ -1028,7 +1042,7 @@ func (r *router) gateEdge(n *topology.Node, parentP, estLen float64) bool {
 // pairCost evaluates the merge-ordering cost of joining a and b.
 func (r *router) pairCost(a, b *topology.Node) (float64, error) {
 	r.pairEvals.Add(1)
-	if r.opts.Method == GreedyDistance {
+	if r.opts.Method == GreedyDistance || r.opts.Method == NearestNeighbor {
 		return a.MS.Dist(b.MS), nil
 	}
 	if r.opts.Method == ActivityDriven {

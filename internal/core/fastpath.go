@@ -1,7 +1,8 @@
 // The fast path of the one-pair-at-a-time greedy (PROCEDURE
-// GatedClockRouting) for the geometric pair costs (MinSwitchedCap,
-// MinClockCapOnly, GreedyDistance). Five layers accelerate the schedule
-// without changing a single output bit relative to runGreedyReference:
+// GatedClockRouting) for every one-pair-at-a-time method (MinSwitchedCap,
+// MinClockCapOnly, GreedyDistance, ActivityDriven). Five layers accelerate
+// the schedule without changing a single output bit relative to
+// runGreedyReference:
 //
 //  1. Pair-cost memo. pairCost(a, b) is a pure function of the two
 //     (immutable once created) nodes, so every evaluated cost is stored in
@@ -198,9 +199,10 @@ type greedyState struct {
 	gridScr *spatialScratch
 
 	// Gating-policy shape resolved at attachIndex (polMode) plus the
-	// scalars the zu fill rule needs: the per-λ clock wire capacitance
-	// and the forced-insertion threshold (polReduce only), and the IFT
-	// entries the parentP floor sums.
+	// scalars the zu fill rule needs: the per-λ weight of the joining
+	// distance (the clock wire capacitance; polAct's tie-break weight
+	// 1e-6/dieSpan) and the forced-insertion threshold (polReduce only),
+	// and the IFT entries the parentP floor sums.
 	polMode  int
 	cWire    float64
 	forceCap float64
@@ -449,9 +451,11 @@ func (r *router) lbFloor(n *topology.Node) (zero, weight float64) {
 // already proves the pair strictly worse than threshold — then it returns
 // (bound, true, nil) without solving the merge. The cell scans run the
 // cheaper record floor (spatial.go) before it. Evaluation path identical
-// to pairCost.
+// to pairCost. The methods whose cost is no merge solve (the sector
+// distance, the merged signal probability) return pairCost directly: the
+// record bound already judged them on the cost's own terms.
 func (r *router) pairCostGated(a, b *topology.Node, threshold float64) (float64, bool, error) {
-	if r.opts.Method == GreedyDistance {
+	if m := r.opts.Method; m == GreedyDistance || m == NearestNeighbor || m == ActivityDriven {
 		c, err := r.pairCost(a, b)
 		return c, false, err
 	}

@@ -275,31 +275,38 @@ func TestPairCostNearlySymmetric(t *testing.T) {
 // TestBoundsAdmissible checks every bound the pyramid walk prunes with
 // against true pair costs, on the corpus TestPairCostNearlySymmetric
 // builds: routed 300-sink trees, every node against random partners,
-// under each gating-policy shape of the star modes and with 8, 32, 33 and
-// 70 instructions. Neither stage of the record bound (parentP floored at
-// max(P_q, P_m), then by the summed instruction words) and no region
-// bound over any pyramid region holding the partner may dominate
-// pairCost(q, m); the summed parentP floor may not exceed
-// SignalProbUnion, and with at most 32 instructions must equal it.
+// under each gating-policy shape of the star modes, ActivityDriven's
+// bound (polAct) and NearestNeighbor's distance bound (polDist), with 8,
+// 32, 33 and 70 instructions. Neither stage of the record bound (parentP
+// floored at max(P_q, P_m), then by the summed instruction words) and no
+// region bound over any pyramid region holding the partner may dominate
+// pairCost(q, m); in every mode whose bound reads parentP the summed floor
+// may not exceed SignalProbUnion, and with at most 32 instructions must
+// equal it.
 func TestBoundsAdmissible(t *testing.T) {
 	p := tech.Default()
-	policies := []struct {
+	configs := []struct {
 		name string
-		pol  gating.Policy
+		opts Options
 	}{
-		{"reduction", nil}, {"all", gating.All{}}, {"none", gating.None{}},
-		{"opaque", opaqueReduction(p)},
+		{"reduction", Options{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree}},
+		{"all", Options{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.All{}}},
+		{"none", Options{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.None{}}},
+		{"opaque", Options{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: opaqueReduction(p)}},
+		// Buffered drivers give lbFloor's per-λ weight 1: the activity
+		// records must carry wf = P all the same.
+		{"activity", Options{Tech: p, Method: ActivityDriven, Drivers: BufferedTree}},
+		{"nearest", Options{Tech: p, Method: NearestNeighbor, Drivers: BufferedTree}},
 	}
 	kinds := []string{"uniform", "clustered", "ring"}
 	const n, partners = 300, 12
 	rng := rand.New(rand.NewPCG(23, 31))
 	pairs, raised := 0, 0
-	for pi, pc := range policies {
+	for oi, cfg := range configs {
 		for ki, k := range []int{8, 32, 33, 70} {
-			kind := kinds[(pi+ki)%len(kinds)]
-			in := placedInstance(t, kind, n, k, uint64(5000+10*pi+ki))
-			opts := Options{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: pc.pol}
-			tree, _, err := Route(in, opts)
+			kind := kinds[(oi+ki)%len(kinds)]
+			in := placedInstance(t, kind, n, k, uint64(5000+10*oi+ki))
+			tree, _, err := Route(in, cfg.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +314,7 @@ func TestBoundsAdmissible(t *testing.T) {
 			// newGreedyState, merge nodes as the greedy enters them.
 			nodes := make([]*topology.Node, 2*n-1)
 			tree.Root.PreOrder(func(v *topology.Node) { nodes[v.ID] = v })
-			r := newRouter(context.Background(), in, opts)
+			r := newRouter(context.Background(), in, cfg.opts)
 			g := r.newGreedyState(nodes[:n])
 			for _, v := range nodes[n:] {
 				g.byID[v.ID], g.alive[v.ID] = v, true
@@ -321,7 +328,7 @@ func TestBoundsAdmissible(t *testing.T) {
 					if m == q {
 						continue
 					}
-					name := fmt.Sprintf("%s k=%d %s: pair (%d, %d)", pc.name, k, kind, q.ID, m.ID)
+					name := fmt.Sprintf("%s k=%d %s: pair (%d, %d)", cfg.name, k, kind, q.ID, m.ID)
 					cost, err := r.pairCost(q, m)
 					if err != nil {
 						t.Fatal(err)
@@ -329,9 +336,12 @@ func TestBoundsAdmissible(t *testing.T) {
 					pairs++
 					mr := &g.recs[m.ID]
 					pp0 := max(qc.rec.wf, mr.wf)
-					pp := qc.ppFloor(pp0, mr.word)
-					if union := in.Profile.SignalProbUnion(q.Instr, m.Instr); pp > union || (k <= 32 && pp != union) {
-						t.Fatalf("%s: parentP floor %v, SignalProbUnion %v", name, pp, union)
+					pp := pp0
+					if qc.mode >= polNever {
+						pp = qc.ppFloor(pp0, mr.word)
+						if union := in.Profile.SignalProbUnion(q.Instr, m.Instr); pp > union || (k <= 32 && pp != union) {
+							t.Fatalf("%s: parentP floor %v, SignalProbUnion %v", name, pp, union)
+						}
 					}
 					if pp > pp0 {
 						raised++

@@ -24,6 +24,7 @@ func TestMulticoreDigestProperty(t *testing.T) {
 		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.All{}},
 		{Tech: p, Method: MinClockCapOnly, Drivers: GatedTree},
 		{Tech: p, Method: GreedyDistance, Drivers: BareTree},
+		{Tech: p, Method: ActivityDriven, Drivers: GatedTree},
 	}
 	kinds := []string{"uniform", "clustered", "hotspot", "ring", "dup", "line"}
 

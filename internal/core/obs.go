@@ -80,7 +80,7 @@ func newCoreInstruments(reg *obs.Registry) *coreInstruments {
 		idxCands:   reg.Counter(MetricIdxCands, "candidates emitted by the spatial index"),
 		idxRegions: reg.Counter(MetricIdxRegions, "pyramid regions a search entered (survived occupancy + dominance checks)"),
 		idxRebuilds: reg.Counter(MetricIdxRebuilds,
-			"spatial-grid rebuilds after the active set halved"),
+			"spatial-grid rebuilds (active set halved, or a new nearest-neighbour round)"),
 		idxNeighb: reg.Histogram(MetricIdxNeighb,
 			"candidates examined per spatial-index search", obs.ExpBuckets(1, 2, 12)),
 		idxNeighP50: reg.Gauge(MetricIdxNeighP50,
@@ -91,7 +91,7 @@ func newCoreInstruments(reg *obs.Registry) *coreInstruments {
 			obs.ExpBuckets(1, 2, 24)),
 		heapLen:    reg.Gauge(MetricHeapLen, "lazy-deletion pair-heap length after the latest merge"),
 		heapLenMax: reg.Gauge(MetricHeapLenMax, "maximum pair-heap length seen"),
-		phaseInit:  reg.Gauge(MetricPhaseInitNs, "wall time of the initial all-pairs scan (ns)"),
+		phaseInit:  reg.Gauge(MetricPhaseInitNs, "wall time of the initial best-partner scan (ns)"),
 		phaseGrdy:  reg.Gauge(MetricPhaseGreedNs, "wall time of the greedy merge loop (ns)"),
 		phaseEmbed: reg.Gauge(MetricPhaseEmbedNs, "wall time of embedding and validation (ns)"),
 	}

@@ -58,8 +58,12 @@
 //     in the serial sections of the merge loop; the one parallel phase
 //     (the initial best-partner scan) only reads it.
 //
-// ActivityDriven orders merges by signal probability alone, which no
-// midpoint distance bounds, so it routes through the reference greedy.
+// Every greedy schedule walks this pyramid. NearestNeighbor's rounds and
+// GreedyDistance bound the sector distance itself (polDist); ActivityDriven
+// (polAct) bounds the merged signal probability by the same parentP floor
+// the star modes use — max(P_q, P_m) raised by the summed words, and a
+// region's word AND — plus its 1e-6/dieSpan distance tie-break charged at
+// the gap.
 package core
 
 import (
@@ -71,16 +75,18 @@ import (
 )
 
 // Gating-policy shapes the candidate filter distinguishes. The star
-// modes (polAll and above) are the MinSwitchedCap + GatedTree
+// modes (polAll to polOpaque) are the MinSwitchedCap + GatedTree
 // configurations whose gated edges carry the control-star term; from
-// polNever on, an edge may also be ungated and charged at parentP.
+// polNever on, the bound reads a floor on the merged enable's signal
+// probability (parentP), raised by the summed instruction words.
 const (
 	polClassic = iota // lbFloor terms only (MinClockCapOnly, ungated driver modes)
-	polDist           // GreedyDistance: the pair cost is the MS distance itself
+	polDist           // GreedyDistance, NearestNeighbor: the pair cost is the MS distance itself
 	polAll            // gating.All — every edge gated, star term unconditional
 	polNever          // gating.None — no gates; edges charged at parentP
 	polReduce         // gating.Reduction — §4.3 rules resolved where certain
 	polOpaque         // unknown Policy — minimum over both gating arms
+	polAct            // ActivityDriven — parentP plus the distance tie-break
 )
 
 // candRec is one indexed candidate, resident in its grid cell: the seven
@@ -93,7 +99,7 @@ type candRec struct {
 	zu, wf    float64 // unconditional zero-length floor, per-λ wire weight
 	gf, a     float64 // star modes: gated-arm zero-length cost, ungated-arm attach cap
 	id        int32
-	word      uint32 // star modes: the node's instructions 0–31 (the parentP floor's bits)
+	word      uint32 // star modes, polAct: the node's instructions 0–31 (the parentP floor's bits)
 }
 
 // qlevel is one level of the region pyramid. Level 0 is the cell raster
@@ -411,6 +417,7 @@ func (x *spatialIndex) gapDist(bd float64) float64 {
 // the modes with an ungated arm take the minimum over the four (query arm
 // × partner arm) combinations. An arm a mode rules out carries +Inf (or
 // NaN, when pp is 0) and never wins a comparison, so it drops out.
+// polAct charges pp plus dlb at cWire, its tie-break weight 1e-6/dieSpan.
 func (qc *queryCtx) floorLB(zu, wf, gf, a, dlb, pp float64) float64 {
 	q := &qc.rec
 	cd := qc.cWire * dlb
@@ -425,6 +432,8 @@ func (qc *queryCtx) floorLB(zu, wf, gf, a, dlb, pp float64) float64 {
 		return q.zu + zu + cd*w
 	case polAll:
 		return gf + cd*w + q.zu
+	case polAct:
+		return pp + cd
 	}
 	lb := q.gf + gf + cd*w // both gated
 	if u := q.gf + a*pp + cd*q.wf; u < lb {
@@ -541,8 +550,11 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 	g.cWire = r.opts.Tech.WireCap(1)
 	g.polMode = polClassic
 	switch {
-	case r.opts.Method == GreedyDistance:
+	case r.opts.Method == GreedyDistance || r.opts.Method == NearestNeighbor:
 		g.polMode = polDist
+	case r.opts.Method == ActivityDriven:
+		g.polMode = polAct
+		g.cWire = 1e-6 / (r.in.Die.W() + r.in.Die.H())
 	case r.opts.Method == MinSwitchedCap && r.opts.Drivers == GatedTree:
 		switch p := r.policy.(type) {
 		case gating.All:
@@ -596,26 +608,30 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 // multiplier of parentP. An arm the mode rules out holds +Inf: a
 // certainly-gated edge has no ungated arm (a), gating.None has no gated
 // one (gf). word holds the node's instructions 0–31, the bits the parentP
-// floor sums. Serial sections only.
+// floor sums. polAct records carry wf = P, the parentP floor's own term,
+// whatever the driver mode. Serial sections only.
 func (r *router) indexRegister(g *greedyState, n *topology.Node) {
 	u, w, rad := n.MSKey()
 	zero, wf := r.lbFloor(n)
 	rec := candRec{u: u, w: w, rad: rad, zu: zero, wf: wf,
 		gf: math.Inf(1), a: math.Inf(1), id: int32(n.ID)}
-	if g.polMode >= polAll {
+	switch {
+	case g.polMode == polAct:
+		rec.wf = n.P
+	case g.polMode >= polAll:
 		if g.polMode != polNever {
 			p := &r.opts.Tech
 			star := r.controller.StarDist(n.MS.Center())
 			rec.gf = n.AttachCap*n.P + (p.CtrlCapPerLambda*star+p.Gate.Cin)*n.Ptr
-		}
-		if len(n.Instr) > 0 {
-			rec.word = uint32(n.Instr[0])
 		}
 		if g.polMode == polAll || (g.polMode == polReduce && g.forceCap > 0 && n.Cap >= g.forceCap) {
 			rec.zu = rec.gf // certainly gated: the star is unconditional
 		} else {
 			rec.a = n.AttachCap // the ungated arm stays possible
 		}
+	}
+	if g.polMode >= polAll && len(n.Instr) > 0 {
+		rec.word = uint32(n.Instr[0])
 	}
 	g.recs[n.ID] = rec
 }
@@ -689,8 +705,9 @@ func (g *greedyState) buildGrid() {
 // rebuildIndex rebuilds the grid over the surviving nodes once the
 // population has halved, restoring ~2 nodes per cell and retightening the
 // best-cost maxima that only grew since the last build (the floors are
-// exact throughout). Triggered O(log n) times; all backing arrays recycle
-// through the grid scratch.
+// exact throughout), and grids each nearest-neighbour round after the
+// first over exactly its starting set. Triggered O(log n) times; all
+// backing arrays recycle through the grid scratch.
 func (r *router) rebuildIndex(g *greedyState) {
 	g.buildGrid()
 	for id, ok := range g.alive {

@@ -1,17 +1,21 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"repro/internal/activity"
+	"repro/internal/dme"
 	"repro/internal/gating"
 	"repro/internal/geom"
 	"repro/internal/isa"
 	"repro/internal/stream"
 	"repro/internal/tech"
+	"repro/internal/topology"
 )
 
 // placedInstance builds an n-sink instance with one of several spatial
@@ -96,20 +100,104 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
+// runRoundsAllPairs is the nearest-neighbour schedule with runRounds'
+// pyramid walk replaced by the all-pairs nomination loop: every node of a
+// round scans every other node of the round's starting set for the
+// (distance, then partner ID) minimum. The oracle of the indexed rounds.
+func (r *router) runRoundsAllPairs() (*topology.Node, error) {
+	active := r.makeSinks()
+	for len(active) > 1 {
+		type pair struct {
+			a, b *topology.Node
+			d    float64
+		}
+		cands := make([]pair, 0, len(active))
+		for i, n := range active {
+			var best *topology.Node
+			bestD := 0.0
+			for j, m := range active {
+				if i == j {
+					continue
+				}
+				r.pairEvals.Add(1)
+				if d := n.MS.Dist(m.MS); best == nil || d < bestD ||
+					(d == bestD && m.ID < best.ID) {
+					best, bestD = m, d
+				}
+			}
+			cands = append(cands, pair{a: n, b: best, d: bestD})
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			if cands[i].d != cands[j].d {
+				return cands[i].d < cands[j].d
+			}
+			return cands[i].a.ID < cands[j].a.ID
+		})
+		used := make(map[*topology.Node]bool, len(active))
+		var next []*topology.Node
+		for _, c := range cands {
+			if used[c.a] || used[c.b] {
+				continue
+			}
+			k, err := r.merge(c.a, c.b)
+			if err != nil {
+				return nil, err
+			}
+			used[c.a], used[c.b] = true, true
+			next = append(next, k)
+		}
+		for _, n := range active {
+			if !used[n] {
+				next = append(next, n)
+			}
+		}
+		active = next
+	}
+	return active[0], nil
+}
+
+// routeOracle routes in under opts with the all-pairs oracle of its
+// method: the reference greedy (Options.Reference) for every
+// one-pair-at-a-time method; for NearestNeighbor, runRoundsAllPairs with
+// the tree finished as run does (root driver, embedding, validation).
+func routeOracle(t testing.TB, in *Instance, opts Options) *topology.Tree {
+	t.Helper()
+	if opts.Method != NearestNeighbor {
+		opts.Reference = true
+		tree, _, err := Route(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	r := newRouter(context.Background(), in, opts)
+	root, err := r.runRoundsAllPairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.finishRoot(root)
+	tree := &topology.Tree{Root: root, Source: r.source}
+	dme.Embed(tree)
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
 // TestSpatialMatchesExhaustiveProperty is the differential property test of
-// the candidate engine: across 200 random instances — every placement
-// shape, every indexed method and gating-policy shape, 2 to 207 sinks,
-// and 8, 32, 33 or 70 instructions (below, at and past the 32 the
-// parentP floor sums) — the pyramid-walking fast path must produce the
-// bit-identical tree (same digest) as the reference greedy's exhaustive
-// all-pairs scan (Options.Reference), with the per-merge dependent-list
-// audit switched on. Any admissibility bug in the region or candidate
-// floors, any tie-break divergence in the argmin, and any staleness bug
-// in the incremental insert/remove path shows up here as a digest
-// mismatch or a failed audit.
+// the candidate engine: across 350 random instances — every placement
+// shape, every greedy method and gating-policy shape, 2 to 207 sinks, and
+// 8, 32, 33 or 70 instructions (below, at and past the 32 the parentP
+// floor sums) — the pyramid-walking route must produce the bit-identical
+// tree (same digest) as its all-pairs oracle (routeOracle), with the
+// per-merge dependent-list audit switched on; NearestNeighbor also routes
+// every placement at 2 and 3 sinks. Any admissibility bug in the region or
+// candidate floors, any tie-break divergence in the argmin, and any
+// staleness bug in the incremental insert/remove path shows up here as a
+// digest mismatch or a failed audit.
 func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential property test routes 400 instances")
+		t.Skip("differential property test routes 756 instances")
 	}
 	debugDepsCheck = true
 	defer func() { debugDepsCheck = false }()
@@ -121,36 +209,51 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: opaqueReduction(p)}, // polOpaque
 		{Tech: p, Method: MinClockCapOnly, Drivers: GatedTree},                            // polClassic
 		{Tech: p, Method: GreedyDistance, Drivers: BareTree},                              // polDist
+		{Tech: p, Method: ActivityDriven, Drivers: GatedTree},                             // polAct
+		{Tech: p, Method: ActivityDriven, Drivers: BufferedTree},                          // polAct
+		{Tech: p, Method: NearestNeighbor, Drivers: BareTree},                             // polDist, rounds
+		{Tech: p, Method: NearestNeighbor, Drivers: BufferedTree},                         // polDist, rounds
 	}
 	kinds := []string{"uniform", "clustered", "hotspot", "ring", "dup", "line", "coincident"}
-	// K steps every two cases, so every kind and every mode meets every K.
+	// K steps every two cases, so each mode's run of seven cases (one per
+	// kind) meets every K.
 	ks := []int{8, 32, 33, 70}
 
-	const cases = 200
-	for i := 0; i < cases; i++ {
-		kind := kinds[i%len(kinds)]
-		opts := modes[(i/len(kinds))%len(modes)]
-		n := 2 + (i*13)%206
-		k := ks[(i/2)%len(ks)]
-		name := fmt.Sprintf("%03d-%s-%s-n%d-k%d", i, kind, opts.Method, n, k)
-		in := placedInstance(t, kind, n, k, uint64(1000+i))
-
-		fast, fs, err := Route(in, opts)
+	check := func(name string, in *Instance, opts Options) {
+		t.Helper()
+		got, s, err := Route(in, opts)
 		if err != nil {
 			t.Fatalf("%s: indexed route: %v", name, err)
 		}
-		refOpts := opts
-		refOpts.Reference = true
-		ref, _, err := Route(in, refOpts)
-		if err != nil {
-			t.Fatalf("%s: reference route: %v", name, err)
+		if want := routeOracle(t, in, opts); got.Digest() != want.Digest() {
+			t.Fatalf("%s: indexed tree %s != all-pairs tree %s",
+				name, got.Digest()[:12], want.Digest()[:12])
 		}
-		if fast.Digest() != ref.Digest() {
-			t.Fatalf("%s: indexed tree %s != reference tree %s",
-				name, fast.Digest()[:12], ref.Digest()[:12])
-		}
-		if fs.IndexSearches == 0 {
+		if s.IndexSearches == 0 {
 			t.Fatalf("%s: route did not search the spatial index", name)
+		}
+	}
+	const cases = 350
+	met := map[string]bool{}
+	for i := 0; i < cases; i++ {
+		kind := kinds[i%len(kinds)]
+		mi := (i / len(kinds)) % len(modes)
+		opts := modes[mi]
+		n := 2 + (i*13)%206
+		k := ks[(i/2)%len(ks)]
+		met[fmt.Sprint(mi, kind)], met[fmt.Sprint(mi, k)] = true, true
+		name := fmt.Sprintf("%03d-%s-%s-%s-n%d-k%d", i, kind, opts.Method, opts.Drivers, n, k)
+		check(name, placedInstance(t, kind, n, k, uint64(1000+i)), opts)
+	}
+	if want := len(modes) * (len(kinds) + len(ks)); len(met) != want {
+		t.Fatalf("cases cover %d (mode, kind) and (mode, K) combinations, want %d", len(met), want)
+	}
+	for _, opts := range modes[8:] {
+		for ki, kind := range kinds {
+			for n := 2; n <= 3; n++ {
+				name := fmt.Sprintf("%s-%s-%s-n%d", kind, opts.Method, opts.Drivers, n)
+				check(name, placedInstance(t, kind, n, 8, uint64(900+10*ki+n)), opts)
+			}
 		}
 	}
 }
