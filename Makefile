@@ -26,23 +26,23 @@ test:
 test-full:
 	$(GO) test ./...
 
-# Router benchmarks with the fast-path counters as custom metrics, plus the
-# serve-layer load benchmark (requests/sec, p50/p99 at queue depth 64).
+# Router benchmarks with the fast-path counters as custom metrics. The
+# end-to-end benchmark, with repeats and spreads, is `bash perf/run.sh`.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkRoute|BenchmarkConstructScaling|BenchmarkConstructMulticore' -benchmem .
-	$(GO) run ./examples/loadclient -n 400 -c 32 -depth 64 -json BENCH_serve.json
 
 # CI smoke: one iteration of the routing benchmarks, the allocation
 # ceilings at N=1024/4096, and at N=16384 the p90 candidates-per-search
-# budget, the 300·N cap on candidates and 230·N cap on regions visited
-# (bounds blind to the merged enable, stale region floors or cell-rounded
-# region distances fail them), plus the 8·N cap on index searches (a
-# return to eager per-merge rescans fails it), and the pair-evaluation
-# caps of the schedules that once scanned all pairs: 10·N on r5 buffered
-# (nearest-neighbour rounds) and 25·N on r2 activity-driven (an all-pairs
-# scan reads thousands·N). Catches gross ns/op, allocs/op, candidate-bound,
-# search-count and quadratic-scan regressions without paying for a
-# statistically meaningful benchmark run.
+# budget, the 228·N cap on candidates and 195·N cap on regions visited
+# (region gaps measured to cell rectangles instead of the occupants'
+# boxes, bounds blind to the merged enable, stale region floors or
+# cell-rounded region distances fail them), plus the 8·N cap on index
+# searches (a return to eager per-merge rescans fails it), and the
+# pair-evaluation caps of the schedules that once scanned all pairs: 10·N
+# on r5 buffered (nearest-neighbour rounds) and 25·N on r2 activity-driven
+# (an all-pairs scan reads thousands·N). Catches gross ns/op, allocs/op,
+# candidate-bound, search-count and quadratic-scan regressions without
+# paying for a statistically meaningful benchmark run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRoute$$|BenchmarkConstructScaling/N=(128|1024)$$' -benchtime 1x -benchmem .
 	$(GO) test -run 'TestRouteAllocationCeiling|TestCandidateBudget16k|TestPairEvalBudget' .

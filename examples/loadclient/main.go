@@ -4,9 +4,10 @@
 // pipeline (queue → coalescer → cache → workers), also runnable under
 // -race via the corresponding test in internal/serve.
 //
-// With -json it additionally writes a BENCH_serve.json-style summary
-// (requests/sec, p50/p99 latency at the configured queue depth), which is
-// how `make bench` produces BENCH_serve.json.
+// With -json it additionally writes a summary (requests/sec, p50/p99
+// latency at the configured queue depth). The mix is mostly cache hits, so
+// the summary is a smoke record, not a benchmark: serving latency is
+// measured by perf/'s serve-cold and cluster-zipf workloads.
 //
 // With -chaos it instead runs the full chaos harness — a seeded schedule
 // of injected worker panics, 5xx errors and latency against the real
@@ -26,7 +27,7 @@
 // Usage:
 //
 //	go run ./examples/loadclient -n 400 -c 16
-//	go run ./examples/loadclient -n 400 -c 32 -depth 64 -json BENCH_serve.json
+//	go run ./examples/loadclient -n 400 -c 32 -depth 64 -json serve.json
 //	go run ./examples/loadclient -chaos -n 300 -json BENCH_chaos.json
 //	go run ./examples/loadclient -cluster -shards 3 -n 400 -json BENCH_cluster.json
 //	go run ./examples/loadclient -cluster -shards 2 -gcrd bin/gcrd -n 300

@@ -195,7 +195,7 @@ type greedyState struct {
 	// Per-worker best-partner walkers, the serial fold-in walker, and the
 	// grid scratch that pools every grid allocation across rebuilds.
 	scratch []searchScratch
-	fold    foldWalker
+	fold    walker
 	gridScr *spatialScratch
 
 	// Gating-policy shape resolved at attachIndex (polMode) plus the

@@ -176,9 +176,10 @@ type discardWriter struct{}
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkRouteObs measures the construction with observability disabled
-// (the production default — compare ns/op against BENCH_core.json),
-// against a counting tracer (pure emission overhead), and with a live
-// metrics registry.
+// (the production default — compare its ns/op across commits; perf/'s
+// traced runs report the end-to-end cost as trace.overhead_pct), against
+// a counting tracer (pure emission overhead), and with a live metrics
+// registry.
 func BenchmarkRouteObs(b *testing.B) {
 	in := makeInstance(b, 128, 7)
 	base := Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree}

@@ -37,13 +37,14 @@
 //     arm: its bound is the gated-gated one, with the star term of both
 //     sides. Classic modes charge the unconditional floors zu.
 //
-// Region aggregates (exact per-region floor minima, radius maxima and
-// instruction-word ANDs, monotone best-cost maxima and live occupant
-// counts) are maintained at every pyramid level, so one comparison
-// discards a whole region; the hierarchy is admissible by construction —
-// a parent region's bound never exceeds any child's, and a region's
-// distance to the query is a true point-to-rectangle gap — so a discarded
-// region provably holds no candidate the walk could still need.
+// Region aggregates (exact per-region floor minima, instruction-word ANDs
+// and bounding boxes of the occupants' merging-segment squares, monotone
+// best-cost maxima and live occupant counts) are maintained at every
+// pyramid level, so one comparison discards a whole region; the hierarchy
+// is admissible by construction — a parent region's bound never exceeds
+// any child's, and a region's distance to the query is the square-to-box
+// gap, a floor on the merging-segment distance to every occupant — so a
+// discarded region provably holds no candidate the walk could still need.
 //
 // Everything here preserves the bit-identity contract of fastpath.go:
 //
@@ -104,9 +105,9 @@ type candRec struct {
 
 // qlevel is one level of the region pyramid. Level 0 is the cell raster
 // itself; level l aggregates 2^l × 2^l cells per region. Floor minima,
-// radius maxima and the instruction-word AND are exact over the live
-// occupants: insertion folds them in, removal recomputes them (remove).
-// Best-cost maxima only grow between rebuilds.
+// the instruction-word AND and the box are exact over the live occupants:
+// insertion folds them in, removal recomputes them (remove). Best-cost
+// maxima only grow between rebuilds.
 type qlevel struct {
 	cols, rows int
 	shift      uint // log2 cells per region side
@@ -114,45 +115,58 @@ type qlevel struct {
 }
 
 // regionAgg packs one region's aggregates into a single cache line, the
-// region-level mirror of candRec: a bound check (regionLB + the occupancy
-// and dominance tests around it) reads every field, so the walk pays one
-// line per region instead of striding six parallel slices.
+// region-level mirror of candRec: a bound check (regionBD, regionLB and
+// the occupancy and dominance tests around them) reads every field, so the
+// walk pays one line per region. The box bounds the live occupants'
+// merging-segment squares (rotated midpoint ± Chebyshev radius) in cell
+// units relative to (minU, minW), rounded outward to float32; an empty
+// region holds an inverted box (+Inf lo, −Inf hi).
 type regionAgg struct {
 	zuMin, wfMin float64
 	gfMin, aMin  float64
-	maxRad       float64 // max MS Chebyshev radius of any occupant
 	maxBest      float64 // monotone max of cached best[n].cost over occupants
 	count        int32   // live occupants
 	and          uint32  // AND of the live occupants' words; all ones when empty
-	_            int64   // pad to 64 bytes
+	uLo, wLo     float32 // box lower corner, rounded down
+	uHi, wHi     float32 // box upper corner, rounded up
 }
 
 // emptyFloors resets the region's floors to those of an empty region:
-// +Inf minima, radius 0 and an all-ones word.
+// +Inf minima, an all-ones word and an inverted box.
 func (ag *regionAgg) emptyFloors() {
 	inf := math.Inf(1)
-	ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.maxRad, ag.and = inf, inf, inf, inf, 0, ^uint32(0)
+	ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.and = inf, inf, inf, inf, ^uint32(0)
+	ag.uLo, ag.wLo, ag.uHi, ag.wHi = float32(inf), float32(inf), float32(-inf), float32(-inf)
 }
 
-// fold folds one occupant's (or one child region's) floor terms into the
-// region's minima, radius maximum and word AND.
-func (ag *regionAgg) fold(zu, wf, gf, a, rad float64, word uint32) {
-	if zu < ag.zuMin {
-		ag.zuMin = zu
+// fold folds one occupant's (recAgg) or one child region's floor minima,
+// word AND and box into the region's.
+func (ag *regionAgg) fold(k *regionAgg) {
+	if k.zuMin < ag.zuMin {
+		ag.zuMin = k.zuMin
 	}
-	if wf < ag.wfMin {
-		ag.wfMin = wf
+	if k.wfMin < ag.wfMin {
+		ag.wfMin = k.wfMin
 	}
-	if gf < ag.gfMin {
-		ag.gfMin = gf
+	if k.gfMin < ag.gfMin {
+		ag.gfMin = k.gfMin
 	}
-	if a < ag.aMin {
-		ag.aMin = a
+	if k.aMin < ag.aMin {
+		ag.aMin = k.aMin
 	}
-	if rad > ag.maxRad {
-		ag.maxRad = rad
+	ag.and &= k.and
+	if k.uLo < ag.uLo {
+		ag.uLo = k.uLo
 	}
-	ag.and &= word
+	if k.wLo < ag.wLo {
+		ag.wLo = k.wLo
+	}
+	if k.uHi > ag.uHi {
+		ag.uHi = k.uHi
+	}
+	if k.wHi > ag.wHi {
+		ag.wHi = k.wHi
+	}
 }
 
 // spatialScratch pools every allocation the grid needs across rebuilds:
@@ -171,13 +185,12 @@ type spatialScratch struct {
 // spatialIndex buckets live nodes into a uniform grid over rotated
 // merging-segment midpoints, with the region pyramid on top. Out-of-range
 // points (merge midpoints can drift outside the grid built from an earlier
-// population) are clamped to the boundary cells, so regionBD treats every
-// region edge on the grid boundary as open outward; a query keeps its
-// unclamped position, and distance bounds only under-estimate true
-// separations — admissible, never wrong.
+// population) are clamped to the boundary cells, but every region box and
+// query square keeps its true position, so a clamped occupant is bounded
+// as exactly as any other.
 type spatialIndex struct {
 	minU, minW float64
-	cell       float64 // cell side in rotated units, > 0
+	cell, inv  float64 // cell side in rotated units, > 0, and its inverse
 	cols, rows int     // grid dimensions, ≥ 1
 	cells      [][]candRec
 	cellOf     []int32 // cellOf[id] = linear cell index, −1 when absent
@@ -203,7 +216,7 @@ func newSpatialGrid(scr *spatialScratch, capIDs int, minU, maxU, minW, maxW floa
 	}
 	cols := int((maxU-minU)/cell) + 1
 	rows := int((maxW-minW)/cell) + 1
-	x := &spatialIndex{minU: minU, minW: minW, cell: cell, cols: cols, rows: rows, scr: scr}
+	x := &spatialIndex{minU: minU, minW: minW, cell: cell, inv: 1 / cell, cols: cols, rows: rows, scr: scr}
 
 	lv := scr.levels[:0]
 	lv = append(lv, qlevel{cols: cols, rows: rows, shift: 0})
@@ -251,7 +264,33 @@ func newSpatialGrid(scr *spatialScratch, capIDs int, minU, maxU, minW, maxW floa
 
 // cellPos returns rotated point (u, w) in unclamped cell units.
 func (x *spatialIndex) cellPos(u, w float64) (fu, fw float64) {
-	return (u - x.minU) / x.cell, (w - x.minW) / x.cell
+	return (u - x.minU) * x.inv, (w - x.minW) * x.inv
+}
+
+// recAgg is the one-occupant aggregate of rec: its floor terms, its word
+// and its merging-segment square in cell units, rounded outward.
+func (x *spatialIndex) recAgg(rec *candRec) regionAgg {
+	fu, fw := x.cellPos(rec.u, rec.w)
+	fr := rec.rad * x.inv
+	return regionAgg{zuMin: rec.zu, wfMin: rec.wf, gfMin: rec.gf, aMin: rec.a, and: rec.word,
+		uLo: down32(fu - fr), wLo: down32(fw - fr), uHi: up32(fu + fr), wHi: up32(fw + fr)}
+}
+
+// down32 and up32 round v to a float32 toward −∞ and +∞.
+func down32(v float64) float32 {
+	f := float32(v)
+	if float64(f) > v {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
+func up32(v float64) float32 {
+	f := float32(v)
+	if float64(f) < v {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
 }
 
 // coords returns the grid cell of rotated point (u, w), clamped to the
@@ -272,29 +311,30 @@ func (x *spatialIndex) coords(u, w float64) (ci, cj int) {
 	return ci, cj
 }
 
-// insert buckets rec into its cell and folds its floor terms into the
-// aggregates of every pyramid level — minima only shrink and maxima only
-// grow, so parent bounds never exceed a child's (the hierarchy the
-// best-first walk's early stop relies on). Serial sections only.
+// insert buckets rec into its cell and folds its floor terms and square
+// into the aggregates of every pyramid level — minima only shrink and
+// boxes only grow, so parent bounds never exceed a child's (the hierarchy
+// the best-first walk's early stop relies on). Serial sections only.
 func (x *spatialIndex) insert(rec candRec) {
 	ci, cj := x.coords(rec.u, rec.w)
 	c := cj*x.cols + ci
 	x.cellOf[rec.id] = int32(c)
 	x.cells[c] = append(x.cells[c], rec)
+	ra := x.recAgg(&rec)
 	for l := range x.levels {
 		lv := &x.levels[l]
 		ag := &lv.agg[(cj>>lv.shift)*lv.cols+ci>>lv.shift]
 		ag.count++
-		ag.fold(rec.zu, rec.wf, rec.gf, rec.a, rec.rad, rec.word)
+		ag.fold(&ra)
 	}
 	x.count++
 }
 
 // remove deletes id from its cell by swap-removal, decrements the live
-// counts and keeps every floor exact: the cell's minima, radius maximum
-// and word AND are recomputed from its remaining records, then each
-// ancestor's from its ≤4 children, up to the first level the removal left
-// unchanged — every level above it folds unchanged children. An emptied
+// counts and keeps every floor exact: the cell's minima, word AND and box
+// are recomputed from its remaining records, then each ancestor's from
+// its ≤4 children, up to the first level the removal left unchanged —
+// every level above it folds unchanged children. An emptied
 // region holds empty floors (emptyFloors); maxBest stays a monotone
 // maximum. In-cell order is not part of the contract: scans take an
 // order-independent argmin.
@@ -327,14 +367,14 @@ func (x *spatialIndex) remove(id int32) {
 		ag.emptyFloors()
 		if l == 0 {
 			for i := range s {
-				ag.fold(s[i].zu, s[i].wf, s[i].gf, s[i].a, s[i].rad, s[i].word)
+				ra := x.recAgg(&s[i])
+				ag.fold(&ra)
 			}
 		} else {
 			clv := &x.levels[l-1]
 			for kj := rj * 2; kj <= rj*2+1 && kj < clv.rows; kj++ {
 				for ki := ri * 2; ki <= ri*2+1 && ki < clv.cols; ki++ {
-					k := &clv.agg[kj*clv.cols+ki]
-					ag.fold(k.zuMin, k.wfMin, k.gfMin, k.aMin, k.maxRad, k.and)
+					ag.fold(&clv.agg[kj*clv.cols+ki])
 				}
 			}
 		}
@@ -367,12 +407,13 @@ func (x *spatialIndex) noteBest(id int32, cost float64) {
 // everything a region bound or per-candidate bound needs from the
 // searching node, loaded once per search.
 type queryCtx struct {
-	rec      candRec // the query's own record: position, radius, floors, word
-	qci, qcj int     // query's (clamped) grid cell
-	qfu, qfw float64 // query's unclamped position in cell units
-	mode     int     // polMode
-	cWire    float64
-	freq     *lowFreq
+	rec        candRec // the query's own record: position, radius, floors, word
+	qci, qcj   int     // query's (clamped) grid cell
+	quLo, quHi float64 // query's merging-segment square in cell units, unclamped
+	qwLo, qwHi float64
+	mode       int // polMode
+	cWire      float64
+	freq       *lowFreq
 }
 
 // lowFreq is the per-route slice of the IFT the parentP floor reads:
@@ -380,29 +421,36 @@ type queryCtx struct {
 type lowFreq [32]float64
 
 func (g *greedyState) makeQuery(q int) queryCtx {
-	rec := g.recs[q]
-	ci, cj := g.idx.coords(rec.u, rec.w)
-	fu, fw := g.idx.cellPos(rec.u, rec.w)
-	return queryCtx{rec: rec, qci: ci, qcj: cj, qfu: fu, qfw: fw,
-		mode: g.polMode, cWire: g.cWire, freq: &g.freq}
+	qc := g.idx.query(g.recs[q])
+	qc.mode, qc.cWire, qc.freq = g.polMode, g.cWire, &g.freq
+	return qc
+}
+
+// query places rec as the query side of a walk: its clamped home cell and
+// its merging-segment square in cell units, unclamped.
+func (x *spatialIndex) query(rec candRec) queryCtx {
+	ci, cj := x.coords(rec.u, rec.w)
+	fu, fw := x.cellPos(rec.u, rec.w)
+	fr := rec.rad * x.inv
+	return queryCtx{rec: rec, qci: ci, qcj: cj, quLo: fu - fr, quHi: fu + fr, qwLo: fw - fr, qwHi: fw + fr}
 }
 
 // regionBD returns the Chebyshev gap, in cell units, from the query's
-// unclamped position to the cell rectangle of region rg at level l. A
-// rectangle edge on the grid boundary is open outward: clamped points of
-// any distance live in the boundary cells.
+// merging-segment square to the box of region rg at level l, negative when
+// the two overlap. Every occupant's square lies inside the box, so the gap
+// never exceeds the gap between the query's square and any occupant's —
+// recordDLB, a floor on their merging-segment distance.
 func (x *spatialIndex) regionBD(qc *queryCtx, l int, rg int32) float64 {
-	lv := &x.levels[l]
-	ri, rj := int(rg)%lv.cols, int(rg)/lv.cols
-	side := 1 << lv.shift
-	iLo, jLo := ri<<lv.shift, rj<<lv.shift
-	return max(axisGap(qc.qfu, iLo, iLo+side, x.cols), axisGap(qc.qfw, jLo, jLo+side, x.rows))
+	ag := &x.levels[l].agg[rg]
+	return max(float64(ag.uLo)-qc.quHi, qc.quLo-float64(ag.uHi),
+		float64(ag.wLo)-qc.qwHi, qc.qwLo-float64(ag.wHi))
 }
 
-// gapDist converts a region gap into a Chebyshev distance floor between
-// centers. The 1e-9-cell guard exceeds the rounding of the cell
-// assignment, which is relative to u − minU in cell units and therefore
-// tiny at any coordinate offset.
+// gapDist converts a region gap into a floor on the Chebyshev distance
+// between merging segments. The 1e-9-cell guard exceeds the float64
+// rounding of the cell-unit squares, which is relative to u − minU in cell
+// units and therefore tiny at any coordinate offset; the float32 box is
+// rounded outward on its own.
 func (x *spatialIndex) gapDist(bd float64) float64 {
 	return max(0, bd-1e-9) * x.cell
 }
@@ -514,19 +562,15 @@ func (qc *queryCtx) recordPruned(m *candRec, thr float64) bool {
 // regionLB lower-bounds pairCost(q, m) for every occupant m of region rg,
 // given the region's gap bd (the caller already computed it for the
 // nearest-first ordering — gaps are never paid twice per region) at level
-// l: every occupant's center sits at Chebyshev distance ≥ gapDist(bd)
-// from the query's, discounted by the query's radius and the region's own
-// maximum occupant radius — floorLB evaluated against the region's floor
-// minima, with parentP floored by the query's word OR'd with the region's
-// word AND. Unlike the record bound it runs in one stage: a two-stage
-// region check routed the 100k-sink instance no faster. A NaN carries no
-// information and collapses to 0, which is always admissible.
+// l: every occupant's merging segment sits at Chebyshev distance
+// ≥ gapDist(bd) from the query's — floorLB evaluated against the region's
+// floor minima, with parentP floored by the query's word OR'd with the
+// region's word AND. Unlike the record bound it runs in one stage: a
+// two-stage region check routed the 100k-sink instance no faster. A NaN
+// carries no information and collapses to 0, which is always admissible.
 func (x *spatialIndex) regionLB(qc *queryCtx, l int, rg int32, bd float64) float64 {
 	ag := &x.levels[l].agg[rg]
-	dlb := x.gapDist(bd) - qc.rec.rad - ag.maxRad
-	if dlb < 0 {
-		dlb = 0
-	}
+	dlb := x.gapDist(bd)
 	pp := qc.rec.wf
 	if ag.wfMin > pp {
 		pp = ag.wfMin
@@ -721,23 +765,45 @@ func (r *router) rebuildIndex(g *greedyState) {
 	r.stats.IndexRebuilds++
 }
 
-// searchWalker is the best-partner search's region walker: a nearest-first
-// depth-first descent of the pyramid, seeded from the query's own cell so
-// a running best exists — and dominance pruning bites — before anything
-// else is visited. A region is discarded at entry when its admissible
-// bound strictly dominates the running best; children are visited in
-// (gap, then region index) order, so near — hence cheap —
-// candidates tighten the threshold before far regions are judged. The
-// visit order only affects which regions get discarded, never the result:
+// walker is the region walk of both pyramid duties: a nearest-first
+// depth-first descent that discards a region at entry when its admissible
+// bound strictly dominates the duty's threshold, and visits live children
+// in (gap, then region index) order, so near — hence cheap — candidates
+// tighten the threshold before far regions are judged. The visit order
+// only affects which regions get discarded, never the result:
 // strict-dominance discards cannot hide the argmin or a tie under the
 // (cost, then partner ID) total order, so the walk returns the
 // bit-identical partner an all-pairs scan would.
-type searchWalker struct {
+//
+// A best-partner search (bestPartnerIndexed) finds n's cheapest partner;
+// its home cell is scanned first (seed), so a running best exists — and
+// dominance pruning bites — before anything else is visited.
+//
+// The fold-in (fold set, foldInIndexed) serves double duty: it computes
+// the fresh node n's own best partner and applies every strict
+// improvement cost(m, n) < best[m].cost as it finds it. Costs are
+// evaluated owner-first as cost(m, n), exactly as the reference fold-in
+// does, and n carries the highest live ID, so ties keep the incumbent and
+// only strict improvements rewrite best[m]. The improvement threshold is
+// m's heap key (greedyState.key), which for a stale m is
+// staleKey(best[m].cost): every other live node costs m at least that, so
+// an n strictly below it is m's exact argmin and clears the mark. A region
+// is discarded only when its bound strictly dominates BOTH duties'
+// thresholds: the running best and the region's monotone best-cost
+// maximum (≥ best[m] for every occupant), so it provably holds neither
+// n's partner nor an improvable node. An applied improvement only lowers
+// best[m], and m is never visited twice, so applying it mid-walk leaves
+// every pruning threshold the walk still reads admissible.
+//
+// Until a first best exists nothing is pruned: the query must always end
+// up with a partner, however expensive.
+type walker struct {
 	r    *router
 	g    *greedyState
-	n    *topology.Node
+	n    *topology.Node // the query
 	qc   queryCtx
-	out  cand
+	out  cand  // running best partner of n
+	fold bool  // fold-in duty (see above)
 	seed int32 // home cell, already scanned; excluded from the descent
 
 	found bool
@@ -747,242 +813,8 @@ type searchWalker struct {
 	err             error
 }
 
-func (sw *searchWalker) reset(r *router, g *greedyState, n *topology.Node, qc queryCtx) {
-	sw.r, sw.g, sw.n, sw.qc = r, g, n, qc
-	sw.out, sw.found, sw.seed = cand{}, false, -1
-	sw.examined, sw.pops = 0, 0
-	sw.skipped, sw.cached = 0, 0
-	sw.err = nil
-}
-
-// walkRoots descends from the top-level regions, nearest-first. The top of
-// the pyramid is at most 2×2 by construction.
-func (sw *searchWalker) walkRoots() {
-	idx := sw.g.idx
-	top := len(idx.levels) - 1
-	lv := &idx.levels[top]
-	var order [4]int32
-	var bds [4]float64
-	cnt := 0
-	for rg := int32(0); rg < int32(lv.cols*lv.rows); rg++ {
-		if lv.agg[rg].count == 0 {
-			continue
-		}
-		order[cnt] = rg
-		bds[cnt] = idx.regionBD(&sw.qc, top, rg)
-		cnt++
-	}
-	sortNearest(order[:cnt], bds[:cnt])
-	for i := 0; i < cnt; i++ {
-		sw.region(top, order[i], bds[i])
-		if sw.err != nil {
-			return
-		}
-	}
-}
-
-// region walks one region of level l at gap bd: discard, scan (level 0),
-// or recurse into the live children nearest-first.
-func (sw *searchWalker) region(l int, rg int32, bd float64) {
-	if l == 0 && rg == sw.seed {
-		return // home cell: scanned before the descent started
-	}
-	idx := sw.g.idx
-	lv := &idx.levels[l]
-	occ := lv.agg[rg].count
-	if occ == 0 {
-		return
-	}
-	if sw.found && dominated(idx.regionLB(&sw.qc, l, rg, bd), sw.out.cost) {
-		sw.skipped += int64(occ)
-		return
-	}
-	sw.pops++
-	if l == 0 {
-		sw.scanCell(rg)
-		return
-	}
-	cl := l - 1
-	clv := &idx.levels[cl]
-	ri, rj := int(rg)%lv.cols, int(rg)/lv.cols
-	var kids [4]int32
-	var bds [4]float64
-	cnt := 0
-	for cj2 := rj * 2; cj2 <= rj*2+1 && cj2 < clv.rows; cj2++ {
-		for ci2 := ri * 2; ci2 <= ri*2+1 && ci2 < clv.cols; ci2++ {
-			crg := int32(cj2*clv.cols + ci2)
-			if clv.agg[crg].count == 0 {
-				continue
-			}
-			kids[cnt] = crg
-			bds[cnt] = idx.regionBD(&sw.qc, cl, crg)
-			cnt++
-		}
-	}
-	sortNearest(kids[:cnt], bds[:cnt])
-	for i := 0; i < cnt; i++ {
-		sw.region(cl, kids[i], bds[i])
-		if sw.err != nil {
-			return
-		}
-	}
-}
-
-// scanCell streams one cell's candidate records through the record bound
-// (recordPruned), the memo and the gated evaluation, folding each survivor
-// into the running (cost, then partner ID) argmin.
-func (sw *searchWalker) scanCell(c int32) {
-	g, r, n := sw.g, sw.r, sw.n
-	q := n.ID
-	recs := g.idx.cells[c]
-	for i := range recs {
-		rec := &recs[i]
-		id := rec.id
-		if id == sw.qc.rec.id {
-			continue
-		}
-		sw.examined++
-		if sw.found && sw.qc.recordPruned(rec, sw.out.cost) {
-			sw.skipped++
-			continue
-		}
-		m := g.byID[id]
-		var cost float64
-		if cc, ok := g.memoGet(q, int(id)); ok {
-			sw.cached++
-			cost = g.fi.MemoCost(cc)
-			if !(cost >= 0) {
-				sw.err = invariantf("memo row %d[%d] holds impossible cost %v",
-					q, id, cost)
-				return
-			}
-		} else {
-			thr := math.Inf(1)
-			if sw.found {
-				thr = sw.out.cost
-			}
-			cc, pruned, err := r.pairCostGated(n, m, thr)
-			if err != nil {
-				sw.err = err
-				return
-			}
-			if pruned {
-				sw.skipped++
-				continue
-			}
-			g.memoSet(q, int(id), cc)
-			cost = cc
-		}
-		if !sw.found || cost < sw.out.cost || (cost == sw.out.cost && m.ID < sw.out.partner.ID) {
-			sw.out = cand{partner: m, cost: cost}
-			sw.found = true
-		}
-	}
-}
-
-// searchScratch is one worker's private best-partner walker, padded apart
-// so adjacent workers never share a cache line.
-type searchScratch struct {
-	search searchWalker
-	_      [64]byte
-}
-
-// bestPartnerIndexed finds n's cheapest partner among the live nodes by a
-// walk of the region pyramid: it scans the query's home cell first (a
-// near — hence tight — initial best), then lets the searchWalker descend
-// the pyramid nearest-first, discarding every region whose admissible
-// bound strictly dominates the running best. The neighborhood examined
-// tracks the local density, not N. Candidates go through the record
-// filter, the memo and the gated bound, under the reference scan's (cost,
-// then partner ID) argmin; strict-dominance pruning never discards a
-// potential tie, so the returned cand is bit-identical to the reference
-// one. Safe to call concurrently for distinct n with distinct worker
-// indices w; the index is read-only here.
-func (r *router) bestPartnerIndexed(g *greedyState, n *topology.Node, w int) (cand, error) {
-	idx := g.idx
-	sw := &g.scratch[w].search
-	sw.reset(r, g, n, g.makeQuery(n.ID))
-	if rg0 := int32(sw.qc.qcj*idx.cols + sw.qc.qci); idx.levels[0].agg[rg0].count > 0 {
-		sw.seed = rg0
-		sw.pops++
-		sw.scanCell(rg0)
-	}
-	if sw.err == nil {
-		sw.walkRoots()
-	}
-	if sw.err != nil {
-		return cand{}, sw.err
-	}
-	r.pairSkipped.Add(sw.skipped)
-	r.pairCached.Add(sw.cached)
-	r.noteSearch(sw.examined, sw.pops)
-	return sw.out, nil
-}
-
-// foldWalker is the fold-in's region walker: a nearest-first depth-first
-// descent of the pyramid that serves double duty — it computes the fresh
-// node k's own best partner ck and applies every strict improvement
-// cost(n, k) < best[n].cost as it finds it. Costs are evaluated
-// owner-first as cost(n, k), exactly as the reference fold-in does, and k
-// carries the highest live ID, so ties keep the incumbent and only strict
-// improvements rewrite best[n]. The improvement threshold is n's heap key
-// (greedyState.key), which for a stale n is staleKey(best[n].cost): every
-// other live node costs n at least that, so a k strictly below it is n's
-// exact argmin and clears the mark.
-//
-// A region is discarded only when its admissible bound strictly dominates
-// BOTH duties' thresholds: the running ck and the region's monotone
-// best-cost maximum (≥ best[n] for every occupant). A discarded region
-// therefore provably holds neither k's partner nor an improvable node.
-// Until a first ck exists nothing is pruned — k must always end up with a
-// partner, however expensive. An applied improvement only lowers best[n],
-// and n is never visited twice, so applying it mid-walk leaves every
-// pruning threshold the walk still reads admissible.
-type foldWalker struct {
-	r     *router
-	g     *greedyState
-	k     *topology.Node
-	qc    queryCtx
-	ck    cand
-	found bool
-
-	examined, pops int
-	skipped        int64
-	err            error
-}
-
-func (fw *foldWalker) reset(r *router, g *greedyState, k *topology.Node, qc queryCtx) {
-	fw.r, fw.g, fw.k, fw.qc = r, g, k, qc
-	fw.ck, fw.found = cand{}, false
-	fw.examined, fw.pops = 0, 0
-	fw.skipped = 0
-	fw.err = nil
-}
-
-// walkRoots descends from the top-level regions, nearest-first. The top of
-// the pyramid is at most 2×2 by construction.
-func (fw *foldWalker) walkRoots() {
-	idx := fw.g.idx
-	top := len(idx.levels) - 1
-	lv := &idx.levels[top]
-	var order [4]int32
-	var bds [4]float64
-	cnt := 0
-	for rg := int32(0); rg < int32(lv.cols*lv.rows); rg++ {
-		if lv.agg[rg].count == 0 {
-			continue
-		}
-		order[cnt] = rg
-		bds[cnt] = idx.regionBD(&fw.qc, top, rg)
-		cnt++
-	}
-	sortNearest(order[:cnt], bds[:cnt])
-	for i := 0; i < cnt; i++ {
-		fw.region(top, order[i], bds[i])
-		if fw.err != nil {
-			return
-		}
-	}
+func (w *walker) reset(r *router, g *greedyState, n *topology.Node, fold bool) {
+	*w = walker{r: r, g: g, n: n, qc: g.makeQuery(n.ID), fold: fold, seed: -1}
 }
 
 // sortNearest insertion-sorts ≤4 regions by (gap from the query, then
@@ -996,99 +828,160 @@ func sortNearest(rgs []int32, bds []float64) {
 	}
 }
 
-// region walks one region of level l at gap bd: discard, scan (level 0),
-// or recurse into the live children nearest-first.
-func (fw *foldWalker) region(l int, rg int32, bd float64) {
-	idx := fw.g.idx
-	lv := &idx.levels[l]
-	ag := &lv.agg[rg]
-	if ag.count == 0 {
-		return
-	}
-	if fw.found {
-		thr := fw.ck.cost
-		if ag.maxBest > thr {
-			thr = ag.maxBest
+// region walks one live region of level l at gap bd: discard, scan
+// (level 0), or recurse into its live children nearest-first. Level
+// len(levels) is a virtual root whose children are the ≤2×2 top level.
+func (w *walker) region(l int, rg int32, bd float64) {
+	idx := w.g.idx
+	ri, rj := 0, 0
+	if l < len(idx.levels) {
+		if l == 0 && rg == w.seed {
+			return // home cell: scanned before the descent started
 		}
-		if dominated(idx.regionLB(&fw.qc, l, rg, bd), thr) {
-			fw.skipped += int64(ag.count)
+		lv := &idx.levels[l]
+		ag := &lv.agg[rg]
+		if w.found {
+			thr := w.out.cost
+			if w.fold && ag.maxBest > thr {
+				thr = ag.maxBest
+			}
+			if dominated(idx.regionLB(&w.qc, l, rg, bd), thr) {
+				w.skipped += int64(ag.count)
+				return
+			}
+		}
+		w.pops++
+		if l == 0 {
+			if w.fold {
+				w.foldCell(rg)
+			} else {
+				w.scanCell(rg)
+			}
 			return
 		}
-	}
-	fw.pops++
-	if l == 0 {
-		fw.scanCell(rg)
-		return
+		ri, rj = int(rg)%lv.cols, int(rg)/lv.cols
 	}
 	cl := l - 1
 	clv := &idx.levels[cl]
-	ri, rj := int(rg)%lv.cols, int(rg)/lv.cols
 	var kids [4]int32
 	var bds [4]float64
 	cnt := 0
-	for cj2 := rj * 2; cj2 <= rj*2+1 && cj2 < clv.rows; cj2++ {
-		for ci2 := ri * 2; ci2 <= ri*2+1 && ci2 < clv.cols; ci2++ {
-			crg := int32(cj2*clv.cols + ci2)
+	for cj := rj * 2; cj <= rj*2+1 && cj < clv.rows; cj++ {
+		for ci := ri * 2; ci <= ri*2+1 && ci < clv.cols; ci++ {
+			crg := int32(cj*clv.cols + ci)
 			if clv.agg[crg].count == 0 {
 				continue
 			}
 			kids[cnt] = crg
-			bds[cnt] = idx.regionBD(&fw.qc, cl, crg)
+			bds[cnt] = idx.regionBD(&w.qc, cl, crg)
 			cnt++
 		}
 	}
 	sortNearest(kids[:cnt], bds[:cnt])
 	for i := 0; i < cnt; i++ {
-		fw.region(cl, kids[i], bds[i])
-		if fw.err != nil {
+		w.region(cl, kids[i], bds[i])
+		if w.err != nil {
 			return
 		}
 	}
 }
 
 // scanCell streams one cell's candidate records through the record bound
-// (recordPruned) and the gated evaluation, folding each survivor into ck
-// and applying strict improvements. The per-candidate prune threshold is
-// the larger of best[id] and ck — a discarded candidate then provably
-// neither becomes ck nor improves best[id]. There is no memo probe: k is
-// fresh and no search runs between its merge and this walk, so no row
-// holds it yet; the evaluated costs are stored for the rescans that
-// follow.
-func (fw *foldWalker) scanCell(c int32) {
-	g, r, k := fw.g, fw.r, fw.k
+// (recordPruned), the memo and the gated evaluation, folding each survivor
+// into the running (cost, then partner ID) argmin.
+func (w *walker) scanCell(c int32) {
+	g, r, n := w.g, w.r, w.n
+	q := n.ID
 	recs := g.idx.cells[c]
 	for i := range recs {
 		rec := &recs[i]
 		id := rec.id
-		if id == fw.qc.rec.id {
+		if id == w.qc.rec.id {
 			continue
 		}
-		fw.examined++
-		thr := math.Inf(1)
-		if fw.found {
-			thr = g.best[id].cost
-			if fw.ck.cost > thr {
-				thr = fw.ck.cost
+		w.examined++
+		if w.found && w.qc.recordPruned(rec, w.out.cost) {
+			w.skipped++
+			continue
+		}
+		m := g.byID[id]
+		var cost float64
+		if cc, ok := g.memoGet(q, int(id)); ok {
+			w.cached++
+			cost = g.fi.MemoCost(cc)
+			if !(cost >= 0) {
+				w.err = invariantf("memo row %d[%d] holds impossible cost %v",
+					q, id, cost)
+				return
 			}
-			if fw.qc.recordPruned(rec, thr) {
-				fw.skipped++
+		} else {
+			thr := math.Inf(1)
+			if w.found {
+				thr = w.out.cost
+			}
+			cc, pruned, err := r.pairCostGated(n, m, thr)
+			if err != nil {
+				w.err = err
+				return
+			}
+			if pruned {
+				w.skipped++
+				continue
+			}
+			g.memoSet(q, int(id), cc)
+			cost = cc
+		}
+		if !w.found || cost < w.out.cost || (cost == w.out.cost && m.ID < w.out.partner.ID) {
+			w.out = cand{partner: m, cost: cost}
+			w.found = true
+		}
+	}
+}
+
+// foldCell is the fold-in's cell scan: it streams one cell's candidate
+// records through the record bound (recordPruned) and the gated
+// evaluation, folding each survivor into n's running best and applying
+// strict improvements. The per-candidate prune threshold is the larger of
+// best[id] and the running best — a discarded candidate then provably
+// neither becomes n's partner nor improves best[id]. There is no memo
+// probe: n is fresh and no search runs between its merge and this walk,
+// so no row holds it yet; the evaluated costs are stored for the rescans
+// that follow.
+func (w *walker) foldCell(c int32) {
+	g, r, k := w.g, w.r, w.n
+	recs := g.idx.cells[c]
+	for i := range recs {
+		rec := &recs[i]
+		id := rec.id
+		if id == w.qc.rec.id {
+			continue
+		}
+		w.examined++
+		thr := math.Inf(1)
+		if w.found {
+			thr = g.best[id].cost
+			if w.out.cost > thr {
+				thr = w.out.cost
+			}
+			if w.qc.recordPruned(rec, thr) {
+				w.skipped++
 				continue
 			}
 		}
-		n := g.byID[id]
-		cost, pruned, err := r.pairCostGated(n, k, thr)
+		m := g.byID[id]
+		cost, pruned, err := r.pairCostGated(m, k, thr)
 		if err != nil {
-			fw.err = err
+			w.err = err
 			return
 		}
 		if pruned {
-			fw.skipped++
+			w.skipped++
 			continue
 		}
 		g.memoSet(int(id), k.ID, cost)
-		if !fw.found || cost < fw.ck.cost || (cost == fw.ck.cost && n.ID < fw.ck.partner.ID) {
-			fw.ck = cand{partner: n, cost: cost}
-			fw.found = true
+		if !w.found || cost < w.out.cost || (cost == w.out.cost && m.ID < w.out.partner.ID) {
+			w.out = cand{partner: m, cost: cost}
+			w.found = true
 		}
 		if cost < g.key(id) {
 			g.setBest(int(id), cand{partner: k, cost: cost})
@@ -1096,31 +989,58 @@ func (fw *foldWalker) scanCell(c int32) {
 	}
 }
 
+// searchScratch is one worker's private best-partner walker, padded apart
+// so adjacent workers never share a cache line.
+type searchScratch struct {
+	search walker
+	_      [64]byte
+}
+
+// bestPartnerIndexed finds n's cheapest partner among the live nodes by a
+// walk of the region pyramid: it scans the query's home cell first (a
+// near — hence tight — initial best), then lets the walker descend the
+// pyramid nearest-first, discarding every region whose admissible bound
+// strictly dominates the running best. The neighborhood examined tracks
+// the local density, not N. Candidates go through the record filter, the
+// memo and the gated bound, under the reference scan's (cost, then
+// partner ID) argmin; strict-dominance pruning never discards a potential
+// tie, so the returned cand is bit-identical to the reference one. Safe
+// to call concurrently for distinct n with distinct worker indices w; the
+// index is read-only here.
+func (r *router) bestPartnerIndexed(g *greedyState, n *topology.Node, w int) (cand, error) {
+	idx := g.idx
+	sw := &g.scratch[w].search
+	sw.reset(r, g, n, false)
+	if rg0 := int32(sw.qc.qcj*idx.cols + sw.qc.qci); idx.levels[0].agg[rg0].count > 0 {
+		sw.seed = rg0
+		sw.pops++
+		sw.scanCell(rg0)
+	}
+	if sw.err == nil {
+		sw.region(len(idx.levels), 0, 0)
+	}
+	if sw.err != nil {
+		return cand{}, sw.err
+	}
+	r.pairSkipped.Add(sw.skipped)
+	r.pairCached.Add(sw.cached)
+	r.noteSearch(sw.examined, sw.pops)
+	return sw.out, nil
+}
+
 // foldInIndexed folds a fresh merge node k into the schedule with one
-// nearest-first walk: k's best partner ck plus every strict improvement
-// of a live node's cached best. A serial section: the walk owns every
-// mutation it makes.
+// nearest-first walk under the fold-in duty: k's best partner plus every
+// strict improvement of a live node's cached best. A serial section: the
+// walk owns every mutation it makes.
 func (r *router) foldInIndexed(g *greedyState, k *topology.Node) error {
 	fw := &g.fold
-	fw.reset(r, g, k, g.makeQuery(k.ID))
-	fw.walkRoots()
+	fw.reset(r, g, k, true)
+	fw.region(len(g.idx.levels), 0, 0)
 	if fw.err != nil {
 		return fw.err
 	}
 	r.pairSkipped.Add(fw.skipped)
 	r.noteSearch(fw.examined, fw.pops)
-	g.setBest(k.ID, fw.ck)
+	g.setBest(k.ID, fw.out)
 	return nil
-}
-
-// axisGap is the distance from cell-unit coordinate c to the cell span
-// [lo, hi) of an axis n cells long, open below at 0 and above at n.
-func axisGap(c float64, lo, hi, n int) float64 {
-	if lo > 0 && c < float64(lo) {
-		return float64(lo) - c
-	}
-	if hi < n && c > float64(hi) {
-		return c - float64(hi)
-	}
-	return 0
 }

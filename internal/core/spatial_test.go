@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/activity"
 	"repro/internal/dme"
@@ -258,16 +259,29 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 	}
 }
 
+// TestRecordLayout pins both hot records to one 64-byte cache line: a cell
+// scan streams one line per candidate (candRec) and a region check reads
+// one line per region (regionAgg).
+func TestRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(candRec{}); n != 64 {
+		t.Errorf("candRec is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(regionAgg{}); n != 64 {
+		t.Errorf("regionAgg is %d bytes, want 64", n)
+	}
+}
+
 // FuzzSpatialIndex drives the index container with an arbitrary op stream
 // (insert, remove, noteBest) over a grid whose origin the input shifts by
 // up to ~1e9, and cross-checks it against a flat mirror model: membership,
 // per-cell bucketing of full records, the per-level region occupant
-// counts, floor minima, radius maxima and instruction-word ANDs exactly
-// equal to the values recomputed from the live occupants (all ones for an
-// empty region's AND), the monotone maxBest hierarchy the
-// fold-in prunes against, and — for query points inside the grid and
-// beyond each edge — region gaps whose guarded distance never exceeds the
-// Chebyshev distance to any live occupant, clamped ones included.
+// counts, floor minima, instruction-word ANDs and boxes exactly equal to
+// the values recomputed from the live occupants (all ones for an empty
+// region's AND, an inverted box), the monotone maxBest hierarchy the
+// fold-in prunes against, and — for query squares of zero and nonzero
+// radius inside the grid and beyond each edge — region gaps whose guarded
+// distance never exceeds the query's merging-segment distance floor
+// (recordDLB) to any live occupant, clamped ones included.
 func FuzzSpatialIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, int32(0))
 	f.Add([]byte("insert-remove-insert"), int32(0))
@@ -361,25 +375,28 @@ func FuzzSpatialIndex(f *testing.F) {
 			t.Fatalf("cells hold %d records, mirror %d", total, liveCount)
 		}
 
-		// Queries: the grid's middle, one beyond each edge, and two per op
-		// of the first three — one on the op's own point (an occupant when
-		// it inserted: distance 0), one scaled to range past every edge.
-		queries := [][2]float64{{org + 437.3, org - 61.9},
-			{org - 317.3, org + 12.5}, {org + 1211.9, org - 3.1},
-			{org + 500.7, org - 577.1}, {org + 255.2, org + 903.3}}
+		// Queries (u, w, radius): the grid's middle, one beyond each edge,
+		// and two per op of the first three — one on the op's own point
+		// with the radius an insert there gives its record (an occupant's
+		// own square: distance 0), one scaled to range past every edge.
+		queries := [][3]float64{{org + 437.3, org - 61.9, 0},
+			{org - 317.3, org + 12.5, 40}, {org + 1211.9, org - 3.1, 7.5},
+			{org + 500.7, org - 577.1, 0}, {org + 255.2, org + 903.3, 120}}
 		for i := 0; i+2 < len(data) && i < 9; i += 3 {
 			b1, b2 := float64(data[i+1]), float64(data[i+2])
-			queries = append(queries, [2]float64{org + b1*5 - 100, org + b2*5 - 600},
-				[2]float64{org + b1*7.3 - 400, org + b2*7.3 - 900})
+			queries = append(queries, [3]float64{org + b1*5 - 100, org + b2*5 - 600, float64(data[i+1]%16) * 3},
+				[3]float64{org + b1*7.3 - 400, org + b2*7.3 - 900, float64(data[i+2]%64) * 4})
 		}
 
 		// Every pyramid level must agree with the raster and the mirror:
 		// region occupant counts equal the summed cell lengths, floor
-		// minima and maxRad equal the values recomputed from the live
-		// occupants (+Inf and 0 when empty), maxBest dominates every noted
-		// best cost, and every occupied region's guarded gap distance is a
-		// floor on the query's Chebyshev distance to each occupant.
+		// minima and boxes equal the values recomputed from the live
+		// occupants (+Inf minima and an inverted box when empty), maxBest
+		// dominates every noted best cost, and every occupied region's
+		// guarded gap distance is a floor on the query's merging-segment
+		// distance to each occupant.
 		inf := math.Inf(1)
+		inf32 := float32(inf)
 		for l := range x.levels {
 			lv := &x.levels[l]
 			nr := lv.cols * lv.rows
@@ -390,7 +407,8 @@ func FuzzSpatialIndex(f *testing.F) {
 			}
 			want := make([]regionAgg, nr)
 			for rg := range want {
-				want[rg] = regionAgg{zuMin: inf, wfMin: inf, gfMin: inf, aMin: inf, and: ^uint32(0)}
+				want[rg] = regionAgg{zuMin: inf, wfMin: inf, gfMin: inf, aMin: inf, and: ^uint32(0),
+					uLo: inf32, wLo: inf32, uHi: -inf32, wHi: -inf32}
 			}
 			regionOf := func(id int32) int {
 				ci, cj := x.coords(m[id].rec.u, m[id].rec.w)
@@ -403,8 +421,10 @@ func FuzzSpatialIndex(f *testing.F) {
 				r, w := m[id].rec, &want[regionOf(id)]
 				w.zuMin, w.wfMin = math.Min(w.zuMin, r.zu), math.Min(w.wfMin, r.wf)
 				w.gfMin, w.aMin = math.Min(w.gfMin, r.gf), math.Min(w.aMin, r.a)
-				w.maxRad = math.Max(w.maxRad, r.rad)
 				w.and &= r.word
+				ra := x.recAgg(&r)
+				w.uLo, w.wLo = min(w.uLo, ra.uLo), min(w.wLo, ra.wLo)
+				w.uHi, w.wHi = max(w.uHi, ra.uHi), max(w.wHi, ra.wHi)
 				if ag := &lv.agg[regionOf(id)]; m[id].best > 0 && ag.maxBest < m[id].best {
 					t.Fatalf("level %d maxBest %v below noted best %v",
 						l, ag.maxBest, m[id].best)
@@ -417,25 +437,27 @@ func FuzzSpatialIndex(f *testing.F) {
 						l, rg, ag.count, sum[rg])
 				}
 				if ag.zuMin != w.zuMin || ag.wfMin != w.wfMin || ag.gfMin != w.gfMin ||
-					ag.aMin != w.aMin || ag.maxRad != w.maxRad || ag.and != w.and {
-					t.Fatalf("level %d region %d floors (zu %v wf %v gf %v a %v rad %v and %#x), exact (zu %v wf %v gf %v a %v rad %v and %#x)",
-						l, rg, ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.maxRad, ag.and,
-						w.zuMin, w.wfMin, w.gfMin, w.aMin, w.maxRad, w.and)
+					ag.aMin != w.aMin || ag.and != w.and {
+					t.Fatalf("level %d region %d floors (zu %v wf %v gf %v a %v and %#x), exact (zu %v wf %v gf %v a %v and %#x)",
+						l, rg, ag.zuMin, ag.wfMin, ag.gfMin, ag.aMin, ag.and,
+						w.zuMin, w.wfMin, w.gfMin, w.aMin, w.and)
+				}
+				if ag.uLo != w.uLo || ag.wLo != w.wLo || ag.uHi != w.uHi || ag.wHi != w.wHi {
+					t.Fatalf("level %d region %d box [%v, %v]×[%v, %v], exact [%v, %v]×[%v, %v]",
+						l, rg, ag.uLo, ag.uHi, ag.wLo, ag.wHi, w.uLo, w.uHi, w.wLo, w.wHi)
 				}
 			}
 			for _, q := range queries {
-				var qc queryCtx
-				qc.qfu, qc.qfw = x.cellPos(q[0], q[1])
+				qc := x.query(candRec{u: q[0], w: q[1], rad: q[2]})
 				for id := int32(0); id < capIDs; id++ {
 					if !m[id].live {
 						continue
 					}
 					r := m[id].rec
 					rg := regionOf(id)
-					d := math.Max(math.Abs(q[0]-r.u), math.Abs(q[1]-r.w))
-					if g := x.gapDist(x.regionBD(&qc, l, int32(rg))); g > d {
-						t.Fatalf("level %d region %d: query (%v, %v) gap distance %v exceeds distance %v to occupant %d at (%v, %v)",
-							l, rg, q[0], q[1], g, d, id, r.u, r.w)
+					if g, d := x.gapDist(x.regionBD(&qc, l, int32(rg))), qc.recordDLB(&r); g > d {
+						t.Fatalf("level %d region %d: query (%v, %v) radius %v gap distance %v exceeds distance %v to occupant %d at (%v, %v) radius %v",
+							l, rg, q[0], q[1], q[2], g, d, id, r.u, r.w, r.rad)
 					}
 				}
 			}

@@ -160,7 +160,7 @@ func (h *Histogram) Sum() float64 {
 // last finite bound — an underestimate flagged to the caller only by being
 // exactly that bound. Returns 0 when nothing has been observed. The
 // estimate is what backs the serve daemon's Retry-After hint and the
-// p50/p99 lines of BENCH_serve.json.
+// p50/p99 lines of loadclient's -json summary.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
