@@ -54,7 +54,7 @@ perf-smoke:
 	cd perf && $(GO) test ./...
 
 # Race detector over the packages with Workers > 1 parallel scans, the
-# fallback/cancellation paths, the traced/metered route path (concurrent
+# fault/cancellation paths, the traced/metered route path (concurrent
 # routes sharing one tracer and registry live in ./internal/core and
 # ./internal/obs), the concurrent routing service, the gcr command, and the
 # public API (verifier always on there). TestMulticoreDigestProperty runs

@@ -53,10 +53,8 @@ func main() {
 	simulate := flag.Bool("simulate", false, "replay the benchmark's instruction stream cycle-by-cycle and compare with the probabilistic report")
 	stats := flag.Bool("stats", false, "print router statistics: pair evals, pruning, cache hits, phase timings")
 	workers := flag.Int("workers", 0, "goroutines for the initial best-partner scan (0 = GOMAXPROCS)")
-	reference := flag.Bool("reference", false, "route with the unaccelerated reference greedy (validation/baseline)")
 	verifyTree := flag.Bool("verify", false, "run the independent post-construction checker on the routed tree and report")
 	timeout := flag.Duration("timeout", 0, "abort routing after this duration (0 = no limit)")
-	fallback := flag.Bool("fallback", false, "on a fast-path failure, re-route with the reference greedy instead of erroring")
 	domains := flag.Int("domains", 0, "print the N largest gating domains")
 	verilogOut := flag.String("verilog", "", "write a structural Verilog netlist to this file")
 	spiceOut := flag.String("spice", "", "write a SPICE RC deck to this file")
@@ -71,8 +69,8 @@ func main() {
 		benchName: *benchName, inFile: *inFile, mode: *mode, controllers: *controllers,
 		sinks: *sinks, placement: *placement, seed: *seed,
 		dumpTree: *dumpTree, drawMap: *drawMap, simulate: *simulate, domains: *domains,
-		stats: *stats, workers: *workers, reference: *reference,
-		verify: *verifyTree, timeout: *timeout, fallback: *fallback,
+		stats: *stats, workers: *workers,
+		verify: *verifyTree, timeout: *timeout,
 		verilogOut: *verilogOut, spiceOut: *spiceOut, svgOut: *svgOut,
 		traceOut: *traceOut, metricsDump: *metricsDump,
 		manifestOut: *manifestOut, pprofAddr: *pprofAddr,
@@ -125,8 +123,7 @@ type runCfg struct {
 	controllers, domains    int
 	dumpTree, drawMap       bool
 	simulate                bool
-	stats, reference        bool
-	verify, fallback        bool
+	stats, verify           bool
 	timeout                 time.Duration
 	workers                 int
 	verilogOut, spiceOut    string
@@ -166,9 +163,6 @@ func validate(cfg runCfg) error {
 	}
 	if !validModes[cfg.mode] {
 		return usagef("unknown mode %q (want bare|buffered|gated|gated-red)", cfg.mode)
-	}
-	if cfg.reference && cfg.fallback {
-		return usagef("-fallback re-routes with the reference greedy; combining it with -reference is contradictory")
 	}
 	if cfg.controllers < 1 || cfg.controllers&(cfg.controllers-1) != 0 {
 		return usagef("-controllers %d must be a power of two >= 1", cfg.controllers)
@@ -291,9 +285,7 @@ func run(w io.Writer, cfg runCfg) error {
 		opts.Controller = c
 	}
 	opts.Workers = cfg.workers
-	opts.Reference = cfg.reference
 	opts.Verify = cfg.verify
-	opts.FallbackOnError = cfg.fallback
 
 	var tr *gatedclock.JSONLTracer
 	if traceFile != nil {
@@ -313,10 +305,6 @@ func run(w io.Writer, cfg runCfg) error {
 	res, err := d.RouteContext(ctx, opts)
 	if err != nil {
 		return err
-	}
-	if res.Stats.Downgraded {
-		fmt.Fprintf(os.Stderr, "gcr: fast path failed, recovered via reference greedy: %s\n",
-			res.Stats.DowngradeReason)
 	}
 	printReport(w, b, mode, res)
 	if cfg.stats {
@@ -441,9 +429,7 @@ func writeManifest(f *os.File, cfg runCfg, b *gatedclock.Benchmark, seed uint64,
 			"mode":        cfg.mode,
 			"controllers": cfg.controllers,
 			"workers":     cfg.workers,
-			"reference":   cfg.reference,
 			"verify":      cfg.verify,
-			"fallback":    cfg.fallback,
 			"timeout":     cfg.timeout.String(),
 		},
 		DurationsNs: map[string]int64{
@@ -454,17 +440,15 @@ func writeManifest(f *os.File, cfg runCfg, b *gatedclock.Benchmark, seed uint64,
 		},
 		ResultDigest: res.Tree.Digest(),
 		Result: map[string]any{
-			"total_sc_ff":      res.Report.TotalSC,
-			"clock_sc_ff":      res.Report.ClockSC,
-			"ctrl_sc_ff":       res.Report.CtrlSC,
-			"wirelength":       res.Report.ClockWirelength,
-			"gates":            res.Report.NumGates,
-			"buffers":          res.Report.NumBuffers,
-			"skew_ps":          res.Report.SkewPs,
-			"merges":           s.Merges,
-			"snakes":           s.Snakes,
-			"downgraded":       s.Downgraded,
-			"downgrade_reason": s.DowngradeReason,
+			"total_sc_ff": res.Report.TotalSC,
+			"clock_sc_ff": res.Report.ClockSC,
+			"ctrl_sc_ff":  res.Report.CtrlSC,
+			"wirelength":  res.Report.ClockWirelength,
+			"gates":       res.Report.NumGates,
+			"buffers":     res.Report.NumBuffers,
+			"skew_ps":     res.Report.SkewPs,
+			"merges":      s.Merges,
+			"snakes":      s.Snakes,
 		},
 	}
 	if err := m.Write(f); err != nil {
@@ -517,11 +501,6 @@ func printStats(w io.Writer, s gatedclock.Stats) {
 	t.AddRow("phase: initial scan", s.PhaseInit.Round(time.Microsecond).String())
 	t.AddRow("phase: greedy merge loop", s.PhaseGreedy.Round(time.Microsecond).String())
 	t.AddRow("phase: embed + validate", s.PhaseEmbed.Round(time.Microsecond).String())
-	if s.Downgraded {
-		t.AddRow("downgraded to reference", s.DowngradeReason)
-	} else {
-		t.AddRow("downgraded to reference", "no")
-	}
 	t.Fprint(w)
 }
 

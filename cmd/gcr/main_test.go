@@ -36,7 +36,6 @@ func TestValidateRejectsContradictoryFlags(t *testing.T) {
 			c.placement = "spiral"
 		}, "unknown placement"},
 		{"unknown mode", func(c *runCfg) { c.mode = "turbo" }, "unknown mode"},
-		{"reference with fallback", func(c *runCfg) { c.reference = true; c.fallback = true }, "contradictory"},
 		{"controllers zero", func(c *runCfg) { c.controllers = 0 }, "power of two"},
 		{"controllers not power of two", func(c *runCfg) { c.controllers = 3 }, "power of two"},
 		{"negative timeout", func(c *runCfg) { c.timeout = -time.Second }, "negative"},
@@ -108,9 +107,8 @@ func TestRunRejectsUnwritableOutputs(t *testing.T) {
 
 // TestRunObservabilityOutputs routes r1 once with every observability sink
 // armed and checks the artifacts: the trace file is valid JSONL covering
-// every merge, the metrics dump is parseable Prometheus text including the
-// downgrade counter, and the manifest is well-formed JSON carrying the
-// result digest.
+// every merge, the metrics dump is parseable Prometheus text, and the
+// manifest is well-formed JSON carrying the result digest.
 func TestRunObservabilityOutputs(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "run.jsonl")
@@ -153,11 +151,10 @@ func TestRunObservabilityOutputs(t *testing.T) {
 	}
 
 	// Metrics dump: Prometheus text exposition with the core instruments,
-	// including the downgrade counter (zero on this clean run), plus the
-	// power/verify/ctrl package instruments driven by the same run.
+	// plus the power/verify/ctrl package instruments driven by the same run.
 	dump := out.String()
 	for _, metric := range []string{
-		core.MetricMerges, core.MetricDowngrades, core.MetricMergeCost,
+		core.MetricMerges, core.MetricMergeCost,
 		"power_evaluations_total", "ctrl_controllers_built_total",
 	} {
 		if !strings.Contains(dump, "# TYPE "+metric+" ") {
@@ -180,9 +177,6 @@ func TestRunObservabilityOutputs(t *testing.T) {
 			strings.Contains(line, "_count") {
 			t.Errorf("unparseable sample line %q", line)
 		}
-	}
-	if !strings.Contains(dump, core.MetricDowngrades+" 0") {
-		t.Errorf("clean run's dump does not report %s 0", core.MetricDowngrades)
 	}
 
 	// Manifest: valid JSON with the digest and phase durations.

@@ -19,8 +19,8 @@ import (
 //   - ErrInvalidStream: the instruction stream is malformed — out-of-range
 //     instruction indices, fewer than two cycles, oversized stream.
 //   - ErrInvariant: a routed tree (or the fast path's internal state)
-//     failed independent verification. With Options.FallbackOnError the
-//     route retries via the reference path instead of surfacing this.
+//     failed independent verification, or the construction panicked. The
+//     route returns no Result; nothing is retried.
 //   - ErrCanceled: RouteContext's context was canceled or its deadline
 //     expired; the context's own error remains in the chain, so
 //     errors.Is(err, context.DeadlineExceeded) also works.

@@ -154,29 +154,16 @@ type Options struct {
 	// routes exact zero skew.
 	SkewBoundPs float64
 	// Workers sets the number of goroutines used for the best-partner
-	// searches of the greedy's initial scan. The reference greedy also
-	// fans out its per-merge rescans and fold-in; the fast path rescans
-	// orphaned nodes lazily, one at a time, and nearest-neighbour rounds
-	// search serially. 0 uses GOMAXPROCS; 1 forces serial execution.
-	// Results are identical regardless of the worker count.
+	// searches of the greedy's initial scan. Orphaned nodes are rescanned
+	// lazily, one at a time, and nearest-neighbour rounds search serially.
+	// 0 uses GOMAXPROCS; 1 forces serial execution. Results are identical
+	// regardless of the worker count.
 	Workers int
-	// Reference runs the unaccelerated greedy (no pair-cost memo, no
-	// lower-bound pruning, linear cheapest scan) for the one-pair-at-a-time
-	// methods; NearestNeighbor and MeansAndMedians ignore it. Output is
-	// bit-identical to the fast path; it exists as the oracle for
-	// equivalence tests and for benchmarking the optimization layers.
-	Reference bool
 	// Verify runs the independent post-construction checker
 	// (internal/verify) on the finished tree: re-derived Elmore skew,
 	// embedding geometry, electrical bookkeeping and activity sanity. A
 	// violation fails the route with an error wrapping verify.ErrInvariant.
 	Verify bool
-	// FallbackOnError transparently re-routes through the retained
-	// reference greedy when the fast path trips an internal invariant (or
-	// panics): the route then succeeds with Stats.Downgraded set instead
-	// of returning the invariant error. Cancellation and input errors are
-	// never retried.
-	FallbackOnError bool
 	// FaultInject deterministically corrupts fast-path state; used by the
 	// robustness tests, nil in production.
 	FaultInject *faultinject.Injector
@@ -188,8 +175,8 @@ type Options struct {
 	Tracer obs.Tracer
 	// Metrics, when non-nil, is the registry the router updates with the
 	// core instrument set (merge counters, merge-cost histogram, heap
-	// depth, cache hit/skip/eval, downgrades, phase timings). nil disables
-	// metrics at zero cost.
+	// depth, cache hit/skip/eval, phase timings). nil disables metrics at
+	// zero cost.
 	Metrics *obs.Registry
 }
 
@@ -257,10 +244,7 @@ func (in *Instance) Validate(opts Options) error {
 // finite reports whether v is a finite float (not NaN, not ±Inf).
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// Stats reports how the construction went. On a Downgraded run the
-// counters and phase timings cover both attempts — the failed fast-path
-// construction and the reference re-route — so the wasted work stays
-// visible; Merges and Snakes describe only the delivered tree.
+// Stats reports how the construction went.
 type Stats struct {
 	Merges    int // number of bottom-up merges (N−1)
 	Snakes    int // merges that required wire elongation
@@ -274,12 +258,11 @@ type Stats struct {
 	PairEvalsCached int
 	// PairMemoStores counts pair costs written into the memo — the
 	// memo-eligible misses, and the denominator of CacheHitRate. Pruned
-	// candidates and reference-path evaluations never reach the memo and
-	// are not counted.
+	// candidates never reach the memo and are not counted.
 	PairMemoStores int
 
 	// Spatial-index counters (spatial.go); all zero when no pyramid walk
-	// ran (MeansAndMedians, the reference path, a single sink).
+	// ran (MeansAndMedians, a single sink).
 	IndexSearches   int // quadtree walks (best-partner + fold-in)
 	IndexCandidates int // candidates that reached the per-candidate filter
 	// IndexRegionsVisited counts quadtree regions expanded or scanned —
@@ -298,13 +281,6 @@ type Stats struct {
 	PhaseInit   time.Duration // initial best-partner scan (one-pair-at-a-time greedy)
 	PhaseGreedy time.Duration // merge loop (rescans, fold-ins, heap)
 	PhaseEmbed  time.Duration // root finishing, embedding, validation
-
-	// Downgraded reports that the fast path failed an invariant and the
-	// result was produced by the reference greedy instead
-	// (Options.FallbackOnError); DowngradeReason records the original
-	// failure.
-	Downgraded      bool
-	DowngradeReason string
 }
 
 // NeighborhoodQuantile returns the frac-quantile (0 < frac ≤ 1) of the
@@ -337,38 +313,16 @@ func (s Stats) NeighborhoodQuantile(frac float64) int {
 
 // CacheHitRate returns the fraction of memo-eligible lookups answered by
 // the pair-cost memo: Cached / (Cached + Stores). Candidates pruned by the
-// geometric lower bound never demand a memoizable merge solve, and
-// reference-path evaluations (a downgraded run's second attempt) never
-// consult a memo — neither belongs in the denominator. PairMemoStores
-// counts exactly the lookups that missed and filled the memo, so the rate
-// reflects what the memo was actually asked for.
+// geometric lower bound never demand a memoizable merge solve, so they do
+// not belong in the denominator. PairMemoStores counts exactly the lookups
+// that missed and filled the memo, so the rate reflects what the memo was
+// actually asked for.
 func (s Stats) CacheHitRate() float64 {
 	total := s.PairMemoStores + s.PairEvalsCached
 	if total == 0 {
 		return 0
 	}
 	return float64(s.PairEvalsCached) / float64(total)
-}
-
-// addAttempt folds the accounting of an earlier, failed construction
-// attempt into s: work counters and phase timings are summed so a
-// downgraded run reports the wasted work, while Merges/Snakes (properties
-// of the delivered tree) keep s's own values.
-func (s *Stats) addAttempt(failed Stats) {
-	s.PairEvals += failed.PairEvals
-	s.PairEvalsSkipped += failed.PairEvalsSkipped
-	s.PairEvalsCached += failed.PairEvalsCached
-	s.PairMemoStores += failed.PairMemoStores
-	s.IndexSearches += failed.IndexSearches
-	s.IndexCandidates += failed.IndexCandidates
-	s.IndexRegionsVisited += failed.IndexRegionsVisited
-	s.IndexRebuilds += failed.IndexRebuilds
-	for i, v := range failed.IndexNeighborhood {
-		s.IndexNeighborhood[i] += v
-	}
-	s.PhaseInit += failed.PhaseInit
-	s.PhaseGreedy += failed.PhaseGreedy
-	s.PhaseEmbed += failed.PhaseEmbed
 }
 
 // Route constructs a zero-skew clock tree for the instance.
@@ -379,57 +333,16 @@ func Route(in *Instance, opts Options) (*topology.Tree, Stats, error) {
 // RouteContext is Route under a context: cancellation or deadline expiry is
 // honored at checkpoints inside the bottom-up merge and scan loops, failing
 // the route with an error wrapping ErrCanceled (and the context's own
-// error) without a partial result.
+// error) without a partial result. A fast-path invariant failure or panic
+// fails the route with an error wrapping verify.ErrInvariant.
 func RouteContext(ctx context.Context, in *Instance, opts Options) (*topology.Tree, Stats, error) {
 	if err := in.Validate(opts); err != nil {
 		return nil, Stats{}, err
 	}
-	tree, stats, err := routeOnce(ctx, in, opts)
-	if err == nil || !opts.FallbackOnError || opts.Reference ||
-		!usesFastPath(opts.Method) || errors.Is(err, ErrCanceled) {
-		return tree, stats, err
-	}
-	// The fast path failed an invariant. Its state is independent of the
-	// reference greedy's, so re-route through the retained oracle and
-	// record the downgrade. The failed attempt's Stats (phase timings,
-	// pair-eval counters) are folded into the re-route's so the wasted
-	// work stays accounted.
-	failed := stats
-	ref := opts
-	ref.Reference = true
-	ref.FaultInject = nil
-	tree, stats, err2 := routeOnce(ctx, in, ref)
-	if err2 != nil {
-		return nil, Stats{}, err2
-	}
-	stats.addAttempt(failed)
-	stats.Downgraded = true
-	stats.DowngradeReason = err.Error()
-	if inst := newCoreInstruments(opts.Metrics); inst != nil {
-		inst.downgrades.Inc()
-	}
-	return tree, stats, nil
-}
-
-// usesFastPath reports whether the method is served by the accelerated
-// greedy of fastpath.go (and therefore has the reference greedy to fall
-// back on): the one-pair-at-a-time methods. NearestNeighbor's rounds walk
-// the same pyramid but have no reference twin; MeansAndMedians searches
-// nothing.
-func usesFastPath(m Method) bool {
-	return m == MinSwitchedCap || m == MinClockCapOnly || m == GreedyDistance ||
-		m == ActivityDriven
-}
-
-// routeOnce runs one construction attempt end to end: build, embed,
-// validate, optionally verify. On failure the returned Stats still carry
-// the attempt's counters and phase timings, so callers (the fallback path
-// in RouteContext) can account the wasted work.
-func routeOnce(ctx context.Context, in *Instance, opts Options) (*topology.Tree, Stats, error) {
 	r := newRouter(ctx, in, opts)
 	tree, err := r.run()
-	// Load the counters before the error checks: a failed attempt's work
-	// must stay visible to the fallback's merged accounting.
+	// Load the counters before the error checks: a failed route's work
+	// still reaches Stats and the metrics registry.
 	r.stats.PairEvals = int(r.pairEvals.Load())
 	r.stats.PairEvalsSkipped = int(r.pairSkipped.Load())
 	r.stats.PairEvalsCached = int(r.pairCached.Load())
@@ -452,7 +365,7 @@ func routeOnce(ctx context.Context, in *Instance, opts Options) (*topology.Tree,
 
 // newRouter resolves the defaults of opts — the gating policy, the buffer
 // threshold, the controller, the clock source and the worker count — into
-// a router for one construction attempt on in.
+// a router for one construction on in.
 func newRouter(ctx context.Context, in *Instance, opts Options) *router {
 	r := &router{in: in, opts: opts, ctx: ctx,
 		tracer: opts.Tracer, inst: newCoreInstruments(opts.Metrics)}
@@ -553,8 +466,8 @@ func (r *router) checkCtx() error {
 // an invariant error at the call boundary — a recover() in the
 // orchestration loop cannot reach a worker goroutine's stack, and crashing
 // the process would make the corruption unrecoverable. A plain function
-// (not a closure built per parallelFor call) so the per-merge parallel
-// phases allocate nothing for the guard.
+// (not a closure built per parallelForW call) so the parallel scan
+// allocates nothing for the guard.
 func safeCallW(fn func(i, w int) error, i, w int) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -564,15 +477,10 @@ func safeCallW(fn func(i, w int) error, i, w int) (err error) {
 	return fn(i, w)
 }
 
-// parallelFor runs fn(0..n-1) across the router's workers, preserving
-// nothing but the per-index outputs fn writes; the first error wins.
-func (r *router) parallelFor(n int, fn func(i int) error) error {
-	return r.parallelForW(n, func(i, _ int) error { return fn(i) })
-}
-
-// parallelForW is parallelFor with a worker identity: fn additionally
-// receives the index w (0 ≤ w < workers) of the goroutine running it, so
-// callers can hand each worker private scratch (its search walker)
+// parallelForW runs fn(0..n-1) across the router's workers, preserving
+// nothing but the per-index outputs fn writes; the first error wins. fn
+// also receives the index w (0 ≤ w < workers) of the goroutine running
+// it, so callers can hand each worker private scratch (its search walker)
 // without locking. The serial path — one worker, or too few items to be
 // worth the fan-out — always reports w = 0.
 func (r *router) parallelForW(n int, fn func(i, w int) error) error {
@@ -627,18 +535,16 @@ func (r *router) run() (*topology.Tree, error) {
 	buildStart := time.Now()
 	var root *topology.Node
 	var err error
-	switch {
-	case r.opts.Method == NearestNeighbor:
+	switch r.opts.Method {
+	case NearestNeighbor:
 		root, err = r.runRounds()
-	case r.opts.Method == MeansAndMedians:
+	case MeansAndMedians:
 		root, err = r.runMMM()
-	case r.opts.Reference:
-		root, err = r.runGreedyReference()
 	default:
 		root, err = r.runGreedyProtected()
 	}
 	// Record the greedy phase even when the construction failed, so a
-	// downgraded run's merged Stats include the aborted attempt's time.
+	// failed route's Stats and metrics include the aborted work's time.
 	r.stats.PhaseGreedy = time.Since(buildStart) - r.stats.PhaseInit
 	r.observePhase("init", buildStart, r.stats.PhaseInit)
 	r.observePhase("greedy", buildStart.Add(r.stats.PhaseInit), r.stats.PhaseGreedy)
@@ -778,110 +684,6 @@ func locsOf(nodes []*topology.Node) []geom.Point {
 	return pts
 }
 
-// runGreedyReference implements the one-pair-at-a-time schedule of the
-// paper's pseudocode, ordered by pairCost (Equation 3 for MinSwitchedCap,
-// sector distance for GreedyDistance, merged signal probability for
-// ActivityDriven), with no caching or pruning. It is no method's engine:
-// it remains the oracle the fast path in fastpath.go must match
-// bit-for-bit (Options.Reference) and the FallbackOnError target.
-func (r *router) runGreedyReference() (*topology.Node, error) {
-	initStart := time.Now()
-	active := r.makeSinks()
-
-	// best[n] is the cheapest partner for n among the currently active
-	// nodes; the global minimum over best is the true cheapest pair.
-	best := make(map[*topology.Node]cand, len(active))
-	initial := make([]cand, len(active))
-	if err := r.parallelFor(len(active), func(i int) error {
-		c, err := r.bestPartner(active[i], active)
-		initial[i] = c
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	for i, n := range active {
-		best[n] = initial[i]
-	}
-	r.stats.PhaseInit = time.Since(initStart)
-
-	for len(active) > 1 {
-		a := r.cheapest(active, best)
-		b := best[a].partner
-		cost := best[a].cost
-		var t0 time.Time
-		snakesBefore := r.stats.Snakes
-		if r.obsEnabled() {
-			t0 = time.Now()
-		}
-		k, err := r.merge(a, b)
-		if err != nil {
-			return nil, err
-		}
-		r.stats.Merges++
-		r.observeMerge(t0, a, b, k, cost, r.stats.Snakes > snakesBefore, -1)
-
-		// Replace a, b with k in the active set.
-		out := active[:0]
-		for _, n := range active {
-			if n != a && n != b {
-				out = append(out, n)
-			}
-		}
-		active = append(out, k)
-		delete(best, a)
-		delete(best, b)
-
-		// Rescan nodes that were paired with a or b.
-		var stale []*topology.Node
-		for _, n := range active[:len(active)-1] {
-			if p := best[n].partner; p == a || p == b {
-				stale = append(stale, n)
-			}
-		}
-		rescan := make([]cand, len(stale))
-		if err := r.parallelFor(len(stale), func(i int) error {
-			c, err := r.bestPartner(stale[i], active)
-			rescan[i] = c
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		for i, n := range stale {
-			best[n] = rescan[i]
-		}
-		// Fold in k: its costs against every survivor give both its own
-		// best partner and any improvements it offers them.
-		others := active[:len(active)-1]
-		costs := make([]float64, len(others))
-		if err := r.parallelFor(len(others), func(i int) error {
-			c, err := r.pairCost(others[i], k)
-			costs[i] = c
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		ck := cand{}
-		found := false
-		for i, n := range others {
-			if !found || costs[i] < ck.cost || (costs[i] == ck.cost && n.ID < ck.partner.ID) {
-				ck = cand{partner: n, cost: costs[i]}
-				found = true
-			}
-			// Same tie rule as bestPartner: strictly cheaper, or equal cost
-			// with the lower partner ID. (k carries the highest ID in the
-			// active set, so the tie arm keeps the incumbent — stated
-			// explicitly so both scans follow one order-independent rule.)
-			if costs[i] < best[n].cost ||
-				(costs[i] == best[n].cost && k.ID < best[n].partner.ID) {
-				best[n] = cand{partner: k, cost: costs[i]}
-			}
-		}
-		best[k] = ck
-	}
-
-	return active[0], nil
-}
-
 func (r *router) makeSinks() []*topology.Node {
 	n := len(r.in.SinkLocs)
 	// One backing array for all 2n−1 nodes of the tree (n sinks + n−1
@@ -944,39 +746,6 @@ func (r *router) carveWords() []uint64 {
 	return make([]uint64, r.actWords)
 }
 
-// cheapest returns the node whose cached pair is globally cheapest,
-// breaking ties by node ID for determinism.
-func (r *router) cheapest(active []*topology.Node, best map[*topology.Node]cand) *topology.Node {
-	var pick *topology.Node
-	for _, n := range active {
-		c := best[n]
-		if pick == nil || c.cost < best[pick].cost ||
-			(c.cost == best[pick].cost && n.ID < pick.ID) {
-			pick = n
-		}
-	}
-	return pick
-}
-
-func (r *router) bestPartner(n *topology.Node, active []*topology.Node) (cand, error) {
-	out := cand{cost: 0}
-	found := false
-	for _, m := range active {
-		if m == n {
-			continue
-		}
-		cost, err := r.pairCost(n, m)
-		if err != nil {
-			return cand{}, err
-		}
-		if !found || cost < out.cost || (cost == out.cost && m.ID < out.partner.ID) {
-			out = cand{partner: m, cost: cost}
-			found = true
-		}
-	}
-	return out, nil
-}
-
 // decideDrivers chooses the drivers for the two edges of a prospective
 // merge. parentP is the signal probability of the merged enable (known at
 // merge time because EN_k = EN_i ∨ EN_j).
@@ -1037,36 +806,6 @@ func (r *router) gateEdge(n *topology.Node, parentP, estLen float64) bool {
 		SubtreeCap: r.subtreeCap(n, estLen),
 		IsSink:     n.IsSink(),
 	})
-}
-
-// pairCost evaluates the merge-ordering cost of joining a and b.
-func (r *router) pairCost(a, b *topology.Node) (float64, error) {
-	r.pairEvals.Add(1)
-	if r.opts.Method == GreedyDistance || r.opts.Method == NearestNeighbor {
-		return a.MS.Dist(b.MS), nil
-	}
-	if r.opts.Method == ActivityDriven {
-		// [5]: minimize the merged enable's activity; normalized distance
-		// breaks ties so the walk stays deterministic.
-		dieSpan := r.in.Die.W() + r.in.Die.H()
-		return r.in.Profile.SignalProbUnion(a.Instr, b.Instr) +
-			1e-6*a.MS.Dist(b.MS)/dieSpan, nil
-	}
-
-	parentP := 1.0
-	if p := r.in.Profile; p != nil {
-		parentP = p.SignalProbUnion(a.Instr, b.Instr)
-	}
-	da, db, ga, gb := r.decideDrivers(a, b, parentP)
-	m, err := dme.BoundedSkewMerge(r.opts.Tech,
-		dme.Branch{MS: a.MS, Delay: a.Delay, Spread: a.Spread, Cap: a.Cap, Driver: da},
-		dme.Branch{MS: b.MS, Delay: b.Delay, Spread: b.Spread, Cap: b.Cap, Driver: db},
-		r.opts.SkewBoundPs)
-	if err != nil {
-		return 0, err
-	}
-	sc := r.edgeSC(a, m.LenA, ga, parentP) + r.edgeSC(b, m.LenB, gb, parentP)
-	return sc, nil
 }
 
 // edgeSC is one side of Equation 3: the switched capacitance contributed by

@@ -21,10 +21,11 @@ const fingerprintVersion = 1
 // policy — produce bit-identical trees.
 //
 // Deliberately excluded, because the construction is proven bit-identical
-// across them (golden_test.go, obs_test.go): Workers, Reference, Verify,
-// FallbackOnError, Tracer, Metrics, FaultInject. A cache keyed on the
-// fingerprint therefore serves a -reference request from a fast-path
-// result and vice versa.
+// across them (fastpath_test.go, multicore_test.go, obs_test.go): Workers,
+// Verify, Tracer, Metrics. FaultInject is excluded too: a fault fails the
+// route, so no corrupted tree ever reaches a cache. A cache keyed on the
+// fingerprint therefore serves a request routed with any worker count or
+// observability setting from one stored result.
 //
 // Policy is an interface and cannot be encoded generically; callers that
 // vary the policy must mix their own policy identity into the digest (a

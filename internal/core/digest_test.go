@@ -52,11 +52,9 @@ func TestFingerprintCoversResultAffectingFields(t *testing.T) {
 func TestFingerprintIgnoresResultNeutralFields(t *testing.T) {
 	base := fingerprintBytes(fingerprintBase())
 	neutral := map[string]func(*Options){
-		"workers":         func(o *Options) { o.Workers = 8 },
-		"reference":       func(o *Options) { o.Reference = true },
-		"verify":          func(o *Options) { o.Verify = true },
-		"fallbackOnError": func(o *Options) { o.FallbackOnError = true },
-		"metrics":         func(o *Options) { o.Metrics = obs.NewRegistry() },
+		"workers": func(o *Options) { o.Workers = 8 },
+		"verify":  func(o *Options) { o.Verify = true },
+		"metrics": func(o *Options) { o.Metrics = obs.NewRegistry() },
 	}
 	for name, mutate := range neutral {
 		o := fingerprintBase()

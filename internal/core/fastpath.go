@@ -1,16 +1,18 @@
 // The fast path of the one-pair-at-a-time greedy (PROCEDURE
 // GatedClockRouting) for every one-pair-at-a-time method (MinSwitchedCap,
 // MinClockCapOnly, GreedyDistance, ActivityDriven). Five layers accelerate
-// the schedule without changing a single output bit relative to
-// runGreedyReference:
+// the schedule without changing a single output bit relative to the
+// all-pairs reference greedy, which lives in the test oracle file
+// (oracle_test.go, runGreedyReference) next to the nearest-neighbour
+// rounds oracle:
 //
-//  1. Pair-cost memo. pairCost(a, b) is a pure function of the two
-//     (immutable once created) nodes, so every evaluated cost is stored in
-//     a bounded per-node row keyed by partner ID and a later best-partner
-//     search is served from the memo instead of re-solving the zero-skew
-//     merge. Rows are keyed owner-first — pairCost is not exactly
-//     symmetric under floating point, and the reference always evaluates
-//     (owner, partner) in that order.
+//  1. Pair-cost memo. The pair cost of (a, b) is a pure function of the
+//     two (immutable once created) nodes, so every evaluated cost is
+//     stored in a bounded per-node row keyed by partner ID and a later
+//     best-partner search is served from the memo instead of re-solving
+//     the zero-skew merge. Rows are keyed owner-first — the cost is not
+//     exactly symmetric under floating point, and the reference always
+//     evaluates (owner, partner) in that order.
 //  2. Lazy-deletion min-heap. The reference's cheapest() is a linear scan
 //     over the active set every iteration; here every best-partner update
 //     pushes a versioned entry and obsolete entries are discarded on pop.
@@ -50,8 +52,8 @@ import (
 )
 
 // invariantf builds a fast-path invariant error; it wraps
-// verify.ErrInvariant so FallbackOnError and callers classify construction
-// corruption uniformly with post-construction verification failures.
+// verify.ErrInvariant so callers classify construction corruption
+// uniformly with post-construction verification failures.
 func invariantf(format string, args ...any) error {
 	return fmt.Errorf("core: %w: %s", verify.ErrInvariant, fmt.Sprintf(format, args...))
 }
@@ -69,7 +71,7 @@ func dominated(lb, thr float64) bool {
 // fold-in threshold sit below its lost pair's cost. The lost cost bounds
 // the orphan's next cost exactly when the cached pair was evaluated
 // owner-first; a merge node's initial pair was evaluated partner-first
-// (the fold-in computes pairCost(partner, k)), and the two orders differ
+// (the fold-in prices (partner, k)), and the two orders differ
 // by rounding, which TestPairCostNearlySymmetric pins at ≤ 1e-13
 // relative, far inside the margin.
 const staleMargin = 1e-12
@@ -148,8 +150,8 @@ func (h *pairHeap) pop() heapEntry {
 }
 
 // memoEntry is one memoized pair cost in a compact per-neighborhood row:
-// the partner ID and pairCost(owner, partner). Rows are bounded
-// (memoRowCap) — pairCost is a pure function of two immutable nodes, so
+// the partner ID and the pair cost of (owner, partner). Rows are bounded
+// (memoRowCap) — the cost is a pure function of two immutable nodes, so
 // evicting an entry can only cost a re-evaluation, never change a value.
 type memoEntry struct {
 	partner int32
@@ -179,7 +181,7 @@ type greedyState struct {
 	fi    *faultinject.Injector // nil in production
 
 	idx    *spatialIndex
-	rows   [][]memoEntry // compact memo rows: rows[owner] holds pairCost(owner, ·)
+	rows   [][]memoEntry // compact memo rows: rows[owner] holds the costs of (owner, ·)
 	deps   [][]int32     // deps[p] = IDs whose best partner is p
 	depPos []int32       // position of id within deps[best[id].partner]
 
@@ -446,18 +448,28 @@ func (r *router) lbFloor(n *topology.Node) (zero, weight float64) {
 	return zero, 1
 }
 
-// pairCostGated evaluates pairCost(a, b), unless an admissible lower
-// bound with the real gating decision and merged signal probability
-// already proves the pair strictly worse than threshold — then it returns
-// (bound, true, nil) without solving the merge. The cell scans run the
-// cheaper record floor (spatial.go) before it. Evaluation path identical
-// to pairCost. The methods whose cost is no merge solve (the sector
-// distance, the merged signal probability) return pairCost directly: the
-// record bound already judged them on the cost's own terms.
+// pairCostGated evaluates the merge-ordering cost of joining a and b:
+// Equation 3 in the star modes, the sector distance for GreedyDistance
+// and NearestNeighbor, and the merged signal probability for
+// ActivityDriven. In the star modes an admissible lower bound with the
+// real gating decision and merged signal probability is tried first; if
+// it already proves the pair strictly worse than threshold, the bound
+// comes back as (bound, true, nil) without solving the merge. A threshold
+// of +Inf never prunes. The cell scans run the cheaper record floor
+// (spatial.go) before it. The costs that need no merge solve return at
+// once: the record bound already judged them on the cost's own terms.
 func (r *router) pairCostGated(a, b *topology.Node, threshold float64) (float64, bool, error) {
-	if m := r.opts.Method; m == GreedyDistance || m == NearestNeighbor || m == ActivityDriven {
-		c, err := r.pairCost(a, b)
-		return c, false, err
+	switch r.opts.Method {
+	case GreedyDistance, NearestNeighbor:
+		r.pairEvals.Add(1)
+		return a.MS.Dist(b.MS), false, nil
+	case ActivityDriven:
+		// [5]: minimize the merged enable's activity; normalized distance
+		// breaks ties so the walk stays deterministic.
+		r.pairEvals.Add(1)
+		dieSpan := r.in.Die.W() + r.in.Die.H()
+		return r.in.Profile.SignalProbUnion(a.Instr, b.Instr) +
+			1e-6*a.MS.Dist(b.MS)/dieSpan, false, nil
 	}
 	parentP := 1.0
 	if p := r.in.Profile; p != nil {
@@ -486,12 +498,9 @@ func (r *router) pairCostGated(a, b *topology.Node, threshold float64) (float64,
 	return r.edgeSC(a, m.LenA, ga, parentP) + r.edgeSC(b, m.LenB, gb, parentP), false, nil
 }
 
-// runGreedyProtected runs the fast greedy with a panic barrier: the
-// accelerated path's heap/memo bookkeeping is the only code here with no
-// reference twin, so a panic inside it is converted into an invariant
-// error (recoverable via Options.FallbackOnError) instead of unwinding
-// into the caller. The reference path stays unguarded by design — a panic
-// there is a genuine bug with no second implementation to fall back on.
+// runGreedyProtected runs the fast greedy with a panic barrier: a panic
+// inside the heap/memo bookkeeping is converted into an invariant error
+// wrapping verify.ErrInvariant instead of unwinding into the caller.
 func (r *router) runGreedyProtected() (root *topology.Node, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -502,13 +511,13 @@ func (r *router) runGreedyProtected() (root *topology.Node, err error) {
 }
 
 // runGreedy is the accelerated one-pair-at-a-time schedule. Outputs —
-// topology, embedding, every float — are bit-identical to
-// runGreedyReference; see the package comment at the top of this file for
-// why each layer preserves that. It differs from the reference only in
-// how candidates are generated (pyramid walks instead of all-pairs scans),
-// how orphaned best-partner entries are found (reverse-dependent lists
-// instead of a full scan) and when they are rescanned (on reaching the
-// heap top instead of right after the merge); selections, merges and
+// topology, embedding, every float — are bit-identical to the reference
+// greedy of oracle_test.go; see the package comment at the top of this
+// file for why each layer preserves that. It differs from the reference
+// only in how candidates are generated (pyramid walks instead of all-pairs
+// scans), how orphaned best-partner entries are found (reverse-dependent
+// lists instead of a full scan) and when they are rescanned (on reaching
+// the heap top instead of right after the merge); selections, merges and
 // every tie-break are identical.
 func (r *router) runGreedy() (*topology.Node, error) {
 	initStart := time.Now()

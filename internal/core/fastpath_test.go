@@ -14,7 +14,7 @@ import (
 
 // TestFastPathMatchesReferenceAllModes routes randomized instances under
 // every greedy-driven configuration with the fast path and the reference
-// greedy; the two must agree bit-for-bit.
+// greedy (routeOracle); the two must agree bit-for-bit.
 func TestFastPathMatchesReferenceAllModes(t *testing.T) {
 	p := tech.Default()
 	optsList := []Options{
@@ -35,12 +35,7 @@ func TestFastPathMatchesReferenceAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d opts[%d]: fast path: %v", n, oi, err)
 			}
-			ref := opts
-			ref.Reference = true
-			refTree, refStats, err := Route(in, ref)
-			if err != nil {
-				t.Fatalf("n=%d opts[%d]: reference: %v", n, oi, err)
-			}
+			refTree, refStats := routeOracle(t, in, opts)
 			requireIdenticalTrees(t, opts.Method.String(), refTree, fastTree)
 			if fastStats.Merges != refStats.Merges || fastStats.Snakes != refStats.Snakes {
 				t.Errorf("n=%d opts[%d]: merge stats diverge: %+v vs %+v",
@@ -131,11 +126,7 @@ func TestFastPathStats(t *testing.T) {
 			histTotal, s.IndexSearches)
 	}
 
-	ref := Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree, Reference: true}
-	_, rs, err := Route(in, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rs := routeOracle(t, in, Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree})
 	if rs.PairEvalsSkipped != 0 || rs.PairEvalsCached != 0 {
 		t.Errorf("reference path must not prune or cache: %+v", rs)
 	}

@@ -13,8 +13,8 @@ import (
 
 // The golden equivalence suite: the fast greedy (memo + heap + pruning +
 // word-parallel activity kernels) must reproduce the reference greedy
-// bit-for-bit — same topology, same embedding, same W(T) and W(S) — on
-// the paper's r1–r5 benchmarks.
+// (routeOracle, oracle_test.go) bit-for-bit — same topology, same
+// embedding, same W(T) and W(S) — on the paper's r1–r5 benchmarks.
 
 func goldenInstance(t *testing.T, name string) *Instance {
 	t.Helper()
@@ -98,12 +98,7 @@ func TestGoldenFastPathMatchesReference(t *testing.T) {
 			opts := Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree,
 				Verify: true}
 
-			refOpts := opts
-			refOpts.Reference = true
-			refTree, refStats, err := Route(in, refOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			refTree, refStats := routeOracle(t, in, opts)
 			fastTree, fastStats, err := Route(in, opts)
 			if err != nil {
 				t.Fatal(err)

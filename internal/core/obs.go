@@ -24,7 +24,6 @@ const (
 	MetricPairEvals    = "core_pair_evals_total"
 	MetricPairCached   = "core_pair_evals_cached_total"
 	MetricPairSkipped  = "core_pair_evals_skipped_total"
-	MetricDowngrades   = "core_downgrades_total"
 	MetricMergeCost    = "core_merge_cost_ff"
 	MetricHeapLen      = "core_heap_len"
 	MetricHeapLenMax   = "core_heap_len_max"
@@ -48,7 +47,7 @@ const (
 type coreInstruments struct {
 	merges, snakes       *obs.Counter
 	evals, cached        *obs.Counter
-	skipped, downgrades  *obs.Counter
+	skipped              *obs.Counter
 	memoStores           *obs.Counter
 	idxSearches          *obs.Counter
 	idxCands, idxRegions *obs.Counter
@@ -73,7 +72,6 @@ func newCoreInstruments(reg *obs.Registry) *coreInstruments {
 		evals:      reg.Counter(MetricPairEvals, "candidate pair costs fully evaluated (merges solved)"),
 		cached:     reg.Counter(MetricPairCached, "candidate lookups served from the pair-cost memo"),
 		skipped:    reg.Counter(MetricPairSkipped, "candidates discarded by the admissible lower bound"),
-		downgrades: reg.Counter(MetricDowngrades, "fast-path failures recovered via the reference greedy"),
 		memoStores: reg.Counter(MetricMemoStores, "pair costs written into the memo (memo-eligible misses)"),
 		idxSearches: reg.Counter(MetricIdxSearches,
 			"spatial-index pyramid searches (best-partner + fold-in)"),
@@ -101,20 +99,18 @@ func newCoreInstruments(reg *obs.Registry) *coreInstruments {
 // loops consult it before capturing timestamps.
 func (r *router) obsEnabled() bool { return r.tracer != nil || r.inst != nil }
 
-// observeMerge is the per-merge observability hook of both greedy loops.
+// observeMerge is the per-merge observability hook of the one-pair greedy.
 // start is the zero time when the caller skipped the timestamp (disabled
-// path); heapDepth is −1 on the reference path, which has no heap. The
-// early return keeps the disabled path free of allocations and atomics.
+// path); heapDepth is the pair heap's length after the merge. The early
+// return keeps the disabled path free of allocations and atomics.
 func (r *router) observeMerge(start time.Time, a, b, k *topology.Node, cost float64, snaked bool, heapDepth int) {
 	if r.tracer == nil && r.inst == nil {
 		return
 	}
 	if r.inst != nil {
 		r.inst.mergeCost.Observe(cost)
-		if heapDepth >= 0 {
-			r.inst.heapLen.Set(int64(heapDepth))
-			r.inst.heapLenMax.SetMax(int64(heapDepth))
-		}
+		r.inst.heapLen.Set(int64(heapDepth))
+		r.inst.heapLenMax.SetMax(int64(heapDepth))
 	}
 	if r.tracer == nil {
 		return
@@ -168,9 +164,9 @@ func (r *router) observePhase(name string, start time.Time, dur time.Duration) {
 	r.tracer.Span(obs.Span{Kind: obs.SpanPhase, Name: name, Start: start, Dur: dur, HeapDepth: -1})
 }
 
-// flushInstruments folds one finished (or failed) construction attempt's
-// Stats into the registry. Called once per routeOnce, so a downgraded run
-// accounts both attempts' work, matching the merged Stats.
+// flushInstruments folds one finished (or failed) construction's Stats
+// into the registry. Called once per route, so a failed route's work is
+// accounted too.
 func (r *router) flushInstruments(s Stats) {
 	if r.inst == nil {
 		return

@@ -123,7 +123,6 @@ func TestTracedRouteBitIdentical(t *testing.T) {
 				MetricPairEvals:   int64(tracedStats.PairEvals),
 				MetricPairCached:  int64(tracedStats.PairEvalsCached),
 				MetricPairSkipped: int64(tracedStats.PairEvalsSkipped),
-				MetricDowngrades:  0,
 			}
 			for metric, want := range checks {
 				if got := snap[metric].Value; got != want {

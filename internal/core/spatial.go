@@ -455,7 +455,7 @@ func (x *spatialIndex) gapDist(bd float64) float64 {
 	return max(0, bd-1e-9) * x.cell
 }
 
-// floorLB lower-bounds pairCost(q, m) for every partner m whose floor
+// floorLB lower-bounds cost(q, m) for every partner m whose floor
 // terms are at least zu, wf, gf and a, whose merging segment lies at
 // Chebyshev distance ≥ dlb from the query's, and whose merged enable has
 // signal probability ≥ pp, where pp ≥ max(P_q, wf). In the star modes wf
@@ -534,7 +534,7 @@ func (qc *queryCtx) recordDLB(m *candRec) float64 {
 
 // recordPruned is the per-candidate filter both walkers run before the
 // memo probe and pairCostGated: it reports whether the admissible bound of
-// pairCost(q, m), computed from the two records alone, strictly dominates
+// cost(q, m), computed from the two records alone, strictly dominates
 // thr. floorLB runs first with parentP floored at max(P_q, P_m); in the
 // modes with an ungated arm a survivor is judged again with the
 // summed-word floor (ppFloor). The bound only grows with its floor, so
@@ -559,7 +559,7 @@ func (qc *queryCtx) recordPruned(m *candRec, thr float64) bool {
 	return false
 }
 
-// regionLB lower-bounds pairCost(q, m) for every occupant m of region rg,
+// regionLB lower-bounds cost(q, m) for every occupant m of region rg,
 // given the region's gap bd (the caller already computed it for the
 // nearest-first ordering — gaps are never paid twice per region) at level
 // l: every occupant's merging segment sits at Chebyshev distance

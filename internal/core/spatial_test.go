@@ -1,22 +1,18 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 	"unsafe"
 
 	"repro/internal/activity"
-	"repro/internal/dme"
 	"repro/internal/gating"
 	"repro/internal/geom"
 	"repro/internal/isa"
 	"repro/internal/stream"
 	"repro/internal/tech"
-	"repro/internal/topology"
 )
 
 // placedInstance builds an n-sink instance with one of several spatial
@@ -101,90 +97,6 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
-// runRoundsAllPairs is the nearest-neighbour schedule with runRounds'
-// pyramid walk replaced by the all-pairs nomination loop: every node of a
-// round scans every other node of the round's starting set for the
-// (distance, then partner ID) minimum. The oracle of the indexed rounds.
-func (r *router) runRoundsAllPairs() (*topology.Node, error) {
-	active := r.makeSinks()
-	for len(active) > 1 {
-		type pair struct {
-			a, b *topology.Node
-			d    float64
-		}
-		cands := make([]pair, 0, len(active))
-		for i, n := range active {
-			var best *topology.Node
-			bestD := 0.0
-			for j, m := range active {
-				if i == j {
-					continue
-				}
-				r.pairEvals.Add(1)
-				if d := n.MS.Dist(m.MS); best == nil || d < bestD ||
-					(d == bestD && m.ID < best.ID) {
-					best, bestD = m, d
-				}
-			}
-			cands = append(cands, pair{a: n, b: best, d: bestD})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].d != cands[j].d {
-				return cands[i].d < cands[j].d
-			}
-			return cands[i].a.ID < cands[j].a.ID
-		})
-		used := make(map[*topology.Node]bool, len(active))
-		var next []*topology.Node
-		for _, c := range cands {
-			if used[c.a] || used[c.b] {
-				continue
-			}
-			k, err := r.merge(c.a, c.b)
-			if err != nil {
-				return nil, err
-			}
-			used[c.a], used[c.b] = true, true
-			next = append(next, k)
-		}
-		for _, n := range active {
-			if !used[n] {
-				next = append(next, n)
-			}
-		}
-		active = next
-	}
-	return active[0], nil
-}
-
-// routeOracle routes in under opts with the all-pairs oracle of its
-// method: the reference greedy (Options.Reference) for every
-// one-pair-at-a-time method; for NearestNeighbor, runRoundsAllPairs with
-// the tree finished as run does (root driver, embedding, validation).
-func routeOracle(t testing.TB, in *Instance, opts Options) *topology.Tree {
-	t.Helper()
-	if opts.Method != NearestNeighbor {
-		opts.Reference = true
-		tree, _, err := Route(in, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tree
-	}
-	r := newRouter(context.Background(), in, opts)
-	root, err := r.runRoundsAllPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.finishRoot(root)
-	tree := &topology.Tree{Root: root, Source: r.source}
-	dme.Embed(tree)
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return tree
-}
-
 // TestSpatialMatchesExhaustiveProperty is the differential property test of
 // the candidate engine: across 350 random instances — every placement
 // shape, every greedy method and gating-policy shape, 2 to 207 sinks, and
@@ -226,7 +138,7 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: indexed route: %v", name, err)
 		}
-		if want := routeOracle(t, in, opts); got.Digest() != want.Digest() {
+		if want, _ := routeOracle(t, in, opts); got.Digest() != want.Digest() {
 			t.Fatalf("%s: indexed tree %s != all-pairs tree %s",
 				name, got.Digest()[:12], want.Digest()[:12])
 		}

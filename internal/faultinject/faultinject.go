@@ -12,7 +12,8 @@
 //
 // The hooks are nil-safe no-ops: a nil *Injector (the production
 // configuration) costs one pointer test per call site and changes no
-// behavior, keeping the fast path bit-identical to the reference.
+// behavior, keeping the fast path bit-identical to its test oracle. Each
+// corruption fails the route with an error wrapping verify.ErrInvariant.
 package faultinject
 
 import (
@@ -36,7 +37,7 @@ const (
 	// NaN, exercising the post-construction verifier.
 	CorruptActivity
 	// PanicMergeLoop panics inside the fast greedy's merge loop,
-	// exercising the recover-and-fallback path.
+	// exercising the panic barrier that turns it into an invariant error.
 	PanicMergeLoop
 )
 

@@ -62,13 +62,11 @@ type RouteReport struct {
 
 // RouteStats is the construction accounting on the wire.
 type RouteStats struct {
-	Merges           int    `json:"merges"`
-	Snakes           int    `json:"snakes"`
-	PairEvals        int    `json:"pairEvals"`
-	PairEvalsSkipped int    `json:"pairEvalsSkipped"`
-	PairEvalsCached  int    `json:"pairEvalsCached"`
-	Downgraded       bool   `json:"downgraded,omitempty"`
-	DowngradeReason  string `json:"downgradeReason,omitempty"`
+	Merges           int `json:"merges"`
+	Snakes           int `json:"snakes"`
+	PairEvals        int `json:"pairEvals"`
+	PairEvalsSkipped int `json:"pairEvalsSkipped"`
+	PairEvalsCached  int `json:"pairEvalsCached"`
 }
 
 // Result converts the wire response back into the internal RouteResult,
@@ -94,8 +92,6 @@ func (r *RouteResponse) Result() *RouteResult {
 	res.Stats.PairEvals = r.Stats.PairEvals
 	res.Stats.PairEvalsSkipped = r.Stats.PairEvalsSkipped
 	res.Stats.PairEvalsCached = r.Stats.PairEvalsCached
-	res.Stats.Downgraded = r.Stats.Downgraded
-	res.Stats.DowngradeReason = r.Stats.DowngradeReason
 	return res
 }
 
@@ -147,8 +143,6 @@ func BuildRouteResponse(rr *Resolved, digest string, cached, coalesced bool, res
 			PairEvals:        st.PairEvals,
 			PairEvalsSkipped: st.PairEvalsSkipped,
 			PairEvalsCached:  st.PairEvalsCached,
-			Downgraded:       st.Downgraded,
-			DowngradeReason:  st.DowngradeReason,
 		},
 		RouteMs: res.RouteMs,
 	}

@@ -19,10 +19,12 @@ import (
 // malformed digest, or a malformed tree digest rejects that entry — a
 // flipped bit in a snapshot degrades one cache entry, never the daemon.
 // Writes go to a temp file in the same directory and are renamed into
-// place, so a crash mid-write leaves the previous snapshot intact.
+// place, so a crash mid-write leaves the previous snapshot intact. The
+// version changes whenever the entry encoding does (core.Stats included),
+// so a stale file is refused whole at its header, not entry by entry.
 const (
 	snapshotMagic   = "gcr-cache-snapshot"
-	snapshotVersion = 1
+	snapshotVersion = 2
 )
 
 type snapHeader struct {

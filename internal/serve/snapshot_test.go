@@ -5,6 +5,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -84,16 +86,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsBadHeader: garbage, wrong magic, and future versions
-// reject the whole file with an error (never a panic, never partial trust).
+// TestSnapshotRejectsBadHeader: garbage, wrong magic, future versions and
+// a version-1 file reject the whole file with an error (never a panic,
+// never partial trust).
 func TestSnapshotRejectsBadHeader(t *testing.T) {
 	valid, _ := encodeSnapshot(snapEntries(1))
 	lines := bytes.SplitN(valid, []byte{'\n'}, 2)
+	// A version-1 entry, as written while core.Stats still carried
+	// Downgraded and DowngradeReason, checksummed over that encoding.
+	e := snapEntries(1)[0]
+	resJSON, _ := json.Marshal(*e.res)
+	v1JSON := bytes.Replace(resJSON, []byte(`"PhaseEmbed":0`),
+		[]byte(`"PhaseEmbed":0,"Downgraded":false,"DowngradeReason":""`), 1)
+	if bytes.Equal(v1JSON, resJSON) {
+		t.Fatal("test setup: no PhaseEmbed field in the encoded Stats")
+	}
+	v1Entry := fmt.Sprintf(`{"digest":%q,"checksum":%q,"result":%s}`,
+		e.digest, entryChecksum(e.digest, v1JSON), v1JSON)
 	for name, data := range map[string][]byte{
 		"empty":         nil,
 		"garbage":       []byte("not a snapshot\n"),
 		"wrong magic":   append([]byte(`{"magic":"other","version":1,"entries":1}`+"\n"), lines[1]...),
 		"wrong version": append([]byte(`{"magic":"`+snapshotMagic+`","version":99,"entries":1}`+"\n"), lines[1]...),
+		"version 1":     []byte(`{"magic":"` + snapshotMagic + `","version":1,"entries":1}` + "\n" + v1Entry + "\n"),
 	} {
 		if _, _, err := decodeSnapshot(data); err == nil {
 			t.Errorf("%s: decode accepted the file", name)
@@ -244,7 +259,7 @@ func TestPeriodicSnapshot(t *testing.T) {
 func FuzzCacheSnapshot(f *testing.F) {
 	valid, _ := encodeSnapshot(snapEntries(3))
 	f.Add(valid)
-	f.Add([]byte(`{"magic":"gcr-cache-snapshot","version":1,"entries":0}` + "\n"))
+	f.Add([]byte(fmt.Sprintf(`{"magic":"gcr-cache-snapshot","version":%d,"entries":0}`+"\n", snapshotVersion)))
 	f.Add([]byte("garbage\n\x00\xff"))
 	f.Add(bytes.Replace(valid, []byte(`"RouteMs"`), []byte(`"routems"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {

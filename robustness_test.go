@@ -117,36 +117,32 @@ func TestRouteVerified(t *testing.T) {
 		gatedclock.GatedReducedOptions(),
 	} {
 		opts.Verify = true
-		res, err := d.Route(opts)
-		if err != nil {
+		if _, err := d.Route(opts); err != nil {
 			t.Fatalf("verified route failed: %v", err)
-		}
-		if res.Stats.Downgraded {
-			t.Errorf("clean run reports downgrade: %q", res.Stats.DowngradeReason)
 		}
 	}
 }
 
-// TestRouteFallbackVisible: an injected fast-path fault with
-// FallbackOnError armed recovers through the reference greedy, and the
-// downgrade is visible on the public Result.
-func TestRouteFallbackVisible(t *testing.T) {
+// TestRouteFaultTyped: a panic injected into the fast path's merge loop
+// fails the public route with an error wrapping ErrInvariant and no
+// Result.
+func TestRouteFaultTyped(t *testing.T) {
 	d := smallDesign(t)
 	opts := gatedclock.GatedReducedOptions()
 	opts.Verify = true
-	opts.FallbackOnError = true
-	opts.FaultInject = faultinject.New(faultinject.Plan{
+	fi := faultinject.New(faultinject.Plan{
 		Mode: faultinject.PanicMergeLoop,
 		Nth:  faultinject.NthFromSeed(1, d.Bench.NumSinks()/2),
 	})
+	opts.FaultInject = fi
 	res, err := d.Route(opts)
-	if err != nil {
-		t.Fatalf("fallback did not recover: %v", err)
+	if !fi.Fired() {
+		t.Fatal("fault never fired")
 	}
-	if !res.Stats.Downgraded || res.Stats.DowngradeReason == "" {
-		t.Fatalf("downgrade not visible on Result: %+v", res.Stats)
+	if !errors.Is(err, gatedclock.ErrInvariant) {
+		t.Fatalf("got %v, want an error wrapping ErrInvariant", err)
 	}
-	if res.Report.SkewPs > 1e-6*(1+res.Report.MaxDelayPs) {
-		t.Errorf("recovered tree not zero-skew: %v ps", res.Report.SkewPs)
+	if res != nil {
+		t.Error("Result returned alongside the invariant error")
 	}
 }
