@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-full bench bench-smoke perf-smoke race fuzz fuzz-index serve loadtest chaos-smoke cluster-smoke clean
+.PHONY: all build vet lint test test-full bench bench-smoke perf-smoke race fuzz fuzz-index serve chaos-smoke cluster-smoke clean
 
 # Default: build everything, lint, and run the fast test suite.
 all: build lint test
@@ -56,12 +56,12 @@ perf-smoke:
 # Race detector over the packages with Workers > 1 parallel scans, the
 # fault/cancellation paths, the traced/metered route path (concurrent
 # routes sharing one tracer and registry live in ./internal/core and
-# ./internal/obs), the concurrent routing service, the gcr command, and the
-# public API (verifier always on there). TestMulticoreDigestProperty runs
+# ./internal/obs), the concurrent routing service and its drills, the gcr
+# command, and the public API (verifier always on there). TestMulticoreDigestProperty runs
 # here under -short: it routes at Workers 1, 2 and 8 and is the test that
 # puts the parallel best-partner searches under the race detector.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/obs/... ./internal/activity/... ./internal/serve/... ./internal/cluster/... ./internal/lru/... ./cmd/gcr/... ./cmd/gcrd/... .
+	$(GO) test -race -short ./internal/core/... ./internal/obs/... ./internal/activity/... ./internal/serve/... ./internal/cluster/... ./internal/drill/... ./internal/lru/... ./cmd/gcr/... ./cmd/gcrd/... .
 
 # Short mutation runs over every fuzz target. The checked-in seed corpora
 # (r1-r5 serializations among them) already run as unit cases in `make test`;
@@ -86,28 +86,26 @@ fuzz-index:
 serve:
 	$(GO) run ./cmd/gcrd -addr localhost:8080
 
-# In-process load test: mixed hit/miss/invalid traffic through the full
-# queue -> coalescer -> cache -> worker pipeline, with client tallies
-# cross-checked against the server's serve_* counters.
-loadtest:
-	$(GO) run ./examples/loadclient -n 400 -c 16
-
-# Chaos smoke under -race: a short deterministic fault schedule (injected
-# panics, 5xx bursts, latency) through the resilient client, a kill/drain
-# window, and one snapshot/restart cycle — the acceptance assertions live
-# in the harness test and the loadclient -chaos run writes BENCH_chaos.json.
+# Chaos smoke under -race: panic isolation in serve, then the node drill — a
+# deterministic fault schedule (injected panics, 5xx bursts, latency)
+# through the resilient client, a kill/drain window, and one
+# snapshot/restart cycle — as a test and as the loadclient -chaos run that
+# writes BENCH_chaos.json. Both hold the drill to the same Report.Check.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaosHarnessEndToEnd|TestPanicIsolation|TestBatchPartialFailure' -count=1 ./internal/serve
+	$(GO) test -race -run 'TestPanicIsolation|TestBatchPartialFailure' -count=1 ./internal/serve
+	$(GO) test -race -run 'TestNodeDrill' -count=1 ./internal/drill
 	$(GO) run -race ./examples/loadclient -chaos -n 300 -json BENCH_chaos.json
 
-# Cluster smoke under -race: the warm-restart peer-fetch drill and the full
-# three-phase harness test in-process, then a multi-process run — front tier
-# driving two real gcrd subprocesses over loopback with a mid-load kill —
-# writing BENCH_cluster.json. The acceptance bar (zero client-visible loss
-# in the kill window, no tree-digest divergence, rebalance + hand-back
-# observed) is enforced by the harness test and the loadclient run alike.
+# Cluster smoke under -race: failover and hand-back in cluster, the
+# warm-restart peer-fetch test and the three-phase cluster drill
+# in-process, then a multi-process run — front tier driving two gcrd
+# subprocesses over loopback with a mid-load kill — writing
+# BENCH_cluster.json. The drill test and the loadclient run hold the
+# report to the same Report.Check (every request answered, no tree-digest
+# divergence, rebalance + hand-back observed, L1 and L2 hits).
 cluster-smoke:
-	$(GO) test -race -run 'TestClusterWarmRestart|TestClusterHarnessEndToEnd|TestClusterFailoverAndHandback' -count=1 ./internal/cluster
+	$(GO) test -race -run 'TestClusterFailoverAndHandback' -count=1 ./internal/cluster
+	$(GO) test -race -run 'TestClusterDrill|TestClusterWarmRestartPeerFetch' -count=1 ./internal/drill
 	$(GO) build -race -o bin/gcrd ./cmd/gcrd
 	$(GO) run -race ./examples/loadclient -cluster -shards 2 -gcrd bin/gcrd -n 300 -c 4 -json BENCH_cluster.json
 

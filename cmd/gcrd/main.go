@@ -19,8 +19,8 @@
 //
 // With -cluster, gcrd runs as the routing cluster's front tier instead of
 // a shard: it consistent-hashes each request's canonical digest onto the
-// listed shard gcrds, keeps its own L1 result cache, fetches by digest
-// from shard caches before paying for a recompute, and aggregates the
+// listed shard gcrds, keeps its own L1 result cache, forwards each L1 miss
+// to the owning shard (whose cache answers repeats), and aggregates the
 // shards' /metrics and /readyz:
 //
 //	gcrd -addr :8080 -cluster http://127.0.0.1:9101,http://127.0.0.1:9102
@@ -93,7 +93,6 @@ type runCfg struct {
 	watermark        int
 	cacheSize        int
 	timeout          time.Duration
-	routeWorkers     int
 	verify           bool
 	grace            time.Duration
 	snapshot         string
@@ -102,7 +101,6 @@ type runCfg struct {
 	chaosSpec        string
 
 	cluster       string
-	hotReplicas   int
 	probeInterval time.Duration
 
 	set map[string]bool
@@ -117,7 +115,6 @@ func parseArgs(args []string) (*runCfg, error) {
 	fs.IntVar(&cfg.watermark, "watermark", 0, "queue depth at which background requests are shed (0 = queue/2)")
 	fs.IntVar(&cfg.cacheSize, "cache", 128, "result-cache entries (the front tier's L1 in -cluster mode)")
 	fs.DurationVar(&cfg.timeout, "timeout", 2*time.Minute, "maximum per-request routing deadline (per-shard forward budget in -cluster mode)")
-	fs.IntVar(&cfg.routeWorkers, "route-workers", 1, "per-route scan goroutines (pool gives cross-request parallelism)")
 	fs.BoolVar(&cfg.verify, "verify", false, "run the independent checker on every cache miss before caching")
 	fs.DurationVar(&cfg.grace, "grace", 30*time.Second, "shutdown drain budget before in-flight routes are canceled")
 	fs.StringVar(&cfg.snapshot, "snapshot", "", "cache snapshot path: loaded (and digest-verified) at start, rewritten periodically and on drain")
@@ -125,7 +122,6 @@ func parseArgs(args []string) (*runCfg, error) {
 	fs.DurationVar(&cfg.warmupDelay, "warmup-delay", 0, "artificial delay before the start-time snapshot load (stretches the /readyz warming window; for restart drills)")
 	fs.StringVar(&cfg.chaosSpec, "chaos", "", "fault-injection spec, e.g. seed=42,panic=200,error=100,latency=50:10ms,slow=100:5ms (empty = disabled)")
 	fs.StringVar(&cfg.cluster, "cluster", "", "run as cluster front tier over these comma-separated shard base URLs")
-	fs.IntVar(&cfg.hotReplicas, "hot-replicas", 2, "ring owners a hot digest spreads across (cluster mode)")
 	fs.DurationVar(&cfg.probeInterval, "probe-interval", time.Second, "shard health probe period (cluster mode)")
 	if err := fs.Parse(args); err != nil {
 		return nil, usagef("%v", err)
@@ -153,9 +149,6 @@ func validate(cfg *runCfg) error {
 	}
 	if cfg.cluster == "" {
 		// Shard mode: front-tier-only flags are contradictions here.
-		if cfg.set["hot-replicas"] {
-			return usagef("-hot-replicas only applies with -cluster (the front tier spreads hot digests; a shard just serves its cache)")
-		}
 		if cfg.set["probe-interval"] {
 			return usagef("-probe-interval only applies with -cluster (the front tier probes shard /readyz; a shard has nothing to probe)")
 		}
@@ -172,7 +165,6 @@ func validate(cfg *runCfg) error {
 		{"warmup-delay", "warmup is shard-side: pass -warmup-delay to the restarted shard gcrd"},
 		{"verify", "verification runs where routing runs: pass -verify to the shard gcrds"},
 		{"workers", "the front tier does no routing work: size -workers on the shard gcrds"},
-		{"route-workers", "the front tier does no routing work: size -route-workers on the shard gcrds"},
 		{"queue", "admission control is shard-side: size -queue on the shard gcrds"},
 		{"watermark", "admission control is shard-side: set -watermark on the shard gcrds"},
 	}
@@ -190,9 +182,6 @@ func validate(cfg *runCfg) error {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return usagef("-cluster: %q is not an absolute shard URL (want e.g. http://127.0.0.1:9101)", s)
 		}
-	}
-	if cfg.hotReplicas < 1 {
-		return usagef("-hot-replicas %d must be at least 1", cfg.hotReplicas)
 	}
 	if cfg.probeInterval <= 0 {
 		return usagef("-probe-interval %v must be positive", cfg.probeInterval)
@@ -227,7 +216,6 @@ func runShard(cfg *runCfg) error {
 		ShedWatermark:    cfg.watermark,
 		CacheSize:        cfg.cacheSize,
 		MaxTimeout:       cfg.timeout,
-		RouteWorkers:     cfg.routeWorkers,
 		Verify:           cfg.verify,
 		Metrics:          obs.Default(),
 		Chaos:            chaos,
@@ -284,7 +272,6 @@ func runFront(cfg *runCfg) error {
 	rt, err := cluster.New(cluster.Config{
 		Shards:         shards,
 		L1Size:         cfg.cacheSize,
-		HotReplicas:    cfg.hotReplicas,
 		ProbeInterval:  cfg.probeInterval,
 		ForwardTimeout: cfg.timeout,
 		Metrics:        obs.Default(),

@@ -24,15 +24,13 @@ func TestParseArgs(t *testing.T) {
 		{name: "cluster basic", args: []string{
 			"-cluster", "http://127.0.0.1:9101,http://127.0.0.1:9102"}},
 		{name: "cluster with front-tier knobs", args: []string{
-			"-cluster", "http://127.0.0.1:9101", "-cache", "512", "-hot-replicas", "3",
+			"-cluster", "http://127.0.0.1:9101", "-cache", "512",
 			"-probe-interval", "500ms", "-timeout", "1m", "-grace", "5s"}},
 
 		{name: "bad addr", args: []string{"-addr", "nope"},
 			wantErr: "not a host:port"},
 		{name: "bad chaos spec", args: []string{"-chaos", "bogus=1"},
 			wantErr: "-chaos"},
-		{name: "hot-replicas without cluster", args: []string{"-hot-replicas", "3"},
-			wantErr: "-hot-replicas only applies with -cluster"},
 		{name: "probe-interval without cluster", args: []string{"-probe-interval", "2s"},
 			wantErr: "-probe-interval only applies with -cluster"},
 
@@ -53,8 +51,6 @@ func TestParseArgs(t *testing.T) {
 			wantErr: "at least one shard URL"},
 		{name: "cluster relative url", args: []string{"-cluster", "127.0.0.1:9101"},
 			wantErr: "not an absolute shard URL"},
-		{name: "cluster zero hot replicas", args: []string{"-cluster", "http://h:1", "-hot-replicas", "0"},
-			wantErr: "must be at least 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,7 +81,7 @@ func TestParseArgs(t *testing.T) {
 func TestParseArgsClusterConfig(t *testing.T) {
 	cfg, err := parseArgs([]string{
 		"-cluster", " http://127.0.0.1:9101 ,http://127.0.0.1:9102,",
-		"-cache", "777", "-timeout", "90s", "-hot-replicas", "2"})
+		"-cache", "777", "-timeout", "90s"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,20 +4,20 @@
 // Placement is a consistent-hash ring over the canonical request digest
 // (the same SHA-256 the single-node serve cache keys on), so the mapping
 // from request to owning shard is a pure function every front tier and
-// test can recompute. Results are found in cost order: an L1 LRU in the
-// front tier itself, then the owning shard's cache by digest (L2, a GET —
-// no routing work), then — when a rebalance or a cold restart makes the
-// owner's cache suspect — the same GET against the other live shards
-// (peer fetch), and only then a real forwarded route. Because every layer
-// is keyed by the canonical digest and routing is deterministic, the
-// cluster path returns tree digests bit-identical to a single node's.
+// test can recompute. An L1 miss costs one forward: the front tier's own
+// LRU answers repeats locally, and otherwise the request goes to the
+// owner, whose cache answers a digest it holds before any admission or
+// routing (counted as L2). Only when a rebalance or a cold restart makes
+// the owner's cache suspect does the front tier first ask the other live
+// shards' caches by digest (peer fetch). Because every layer is keyed by
+// the canonical digest and routing is deterministic, the cluster path
+// returns tree digests bit-identical to a single node's.
 //
 // Health is demand-driven plus probed: a transport failure while
 // forwarding demotes the shard immediately and the request fails over to
 // the ring successor in the same call (rebalance without coordination);
 // a background /readyz prober promotes returned shards back through
-// warming to ready (hand-back). Hot digests spread over the first
-// HotReplicas live owners so one viral request cannot pin a single shard.
+// warming to ready (hand-back).
 package cluster
 
 import (
@@ -28,7 +28,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lru"
@@ -47,83 +46,43 @@ type Config struct {
 	// L1Size bounds the front tier's own result LRU (0 = 512, negative
 	// disables L1).
 	L1Size int
-	// VNodes is the ring's virtual-node count per shard (0 = 64).
-	VNodes int
-
-	// HotThreshold is the observation count within one decay window after
-	// which a digest counts as hot (0 = 16, negative disables hot-key
-	// replication).
-	HotThreshold int
-	// HotReplicas is how many ring owners a hot digest rotates across
-	// (0 = 2; clamped to the shard count).
-	HotReplicas int
-
-	// ForwardAttempts bounds HTTP attempts per shard per request (0 = 1:
-	// the front tier's failover across shards is the retry policy, so
-	// per-shard retries default off to keep worst-case latency additive).
-	ForwardAttempts int
 	// ForwardTimeout bounds one shard forward including queueing (0 = 2m).
 	ForwardTimeout time.Duration
-	// PeekTimeout bounds one cache peek / probe GET (0 = 2s).
-	PeekTimeout time.Duration
-
 	// ProbeInterval is the background health-probe period (0 = 1s;
 	// negative disables the loop — tests then drive ProbeNow directly).
 	ProbeInterval time.Duration
-
-	// BreakerThreshold / BreakerCooldown configure each shard client's
-	// circuit breaker (0 = 3 consecutive failures / 1s cooldown; the
-	// prober, not a half-open probe, is the main recovery path, so the
-	// cooldown stays short).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// NoPeerFetch disables the L2-miss peer sweep (benchmark knob).
-	NoPeerFetch bool
 
 	// Metrics receives the cluster_* instruments (nil = private registry).
 	Metrics *obs.Registry
 	// Transport overrides the HTTP transport for all shard traffic
 	// (nil = http.DefaultTransport); tests inject in-process handlers.
 	Transport http.RoundTripper
-	// Seed decorrelates the forward clients' backoff jitter.
-	Seed uint64
 }
+
+const (
+	// vnodes is the ring's virtual-node count per shard.
+	vnodes = 64
+	// peekTimeout bounds one cache peek, probe or metrics scrape.
+	peekTimeout = 2 * time.Second
+	// Each shard's forward client makes one attempt: the front tier's
+	// failover across shards is the retry policy, so worst-case latency
+	// stays additive. Its breaker opens after breakerThreshold consecutive
+	// failures and cools down for breakerCooldown; the prober, not a
+	// half-open probe, is the main recovery path, so the cooldown is short.
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.L1Size == 0 {
 		out.L1Size = 512
 	}
-	if out.VNodes <= 0 {
-		out.VNodes = 64
-	}
-	if out.HotThreshold == 0 {
-		out.HotThreshold = 16
-	}
-	if out.HotReplicas <= 0 {
-		out.HotReplicas = 2
-	}
-	if out.HotReplicas > len(out.Shards) {
-		out.HotReplicas = len(out.Shards)
-	}
-	if out.ForwardAttempts <= 0 {
-		out.ForwardAttempts = 1
-	}
 	if out.ForwardTimeout <= 0 {
 		out.ForwardTimeout = 2 * time.Minute
 	}
-	if out.PeekTimeout <= 0 {
-		out.PeekTimeout = 2 * time.Second
-	}
 	if out.ProbeInterval == 0 {
 		out.ProbeInterval = time.Second
-	}
-	if out.BreakerThreshold == 0 {
-		out.BreakerThreshold = 3
-	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = time.Second
 	}
 	if out.Metrics == nil {
 		out.Metrics = obs.NewRegistry()
@@ -141,21 +100,19 @@ type instruments struct {
 	forwards, peerSweeps          *obs.Counter
 	failovers, noShards           *obs.Counter
 	rebalances, handbacks         *obs.Counter
-	hotSpread, scrapeErrors       *obs.Counter
+	scrapeErrors                  *obs.Counter
 	shardsSelectable, shardsReady *obs.Gauge
-	hotKeys                       *obs.Gauge
 	requestMs, forwardMs          *obs.Histogram
 }
 
 // Router is the cluster front tier: it owns the ring, the shard health
-// view, the L1 cache and the hot-key tracker, and turns one client
-// request into at most one shard route execution.
+// view and the L1 cache, and turns one client request into at most one
+// shard route execution.
 type Router struct {
 	cfg    Config
 	shards []*shard
 	ring   *ring
 	l1     *lru.Cache[string, *serve.RouteResult]
-	hot    *hotTracker
 	inst   *instruments
 
 	stop      chan struct{}
@@ -174,7 +131,7 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:  cfg,
-		ring: newRing(len(cfg.Shards), cfg.VNodes),
+		ring: newRing(len(cfg.Shards), vnodes),
 		l1:   lru.New[string, *serve.RouteResult](cfg.L1Size),
 		stop: make(chan struct{}),
 	}
@@ -182,23 +139,20 @@ func New(cfg Config) (*Router, error) {
 		requests:         cfg.Metrics.Counter("cluster_requests_total", "route requests accepted by the front tier"),
 		badRequests:      cfg.Metrics.Counter("cluster_bad_requests_total", "requests rejected before shard selection"),
 		l1Hits:           cfg.Metrics.Counter("cluster_l1_hits_total", "answers served from the front tier's own LRU"),
-		l2Hits:           cfg.Metrics.Counter("cluster_l2_hits_total", "answers served by the owning shard's cache peek"),
+		l2Hits:           cfg.Metrics.Counter("cluster_l2_hits_total", "forwarded answers the shard served from its cache"),
 		peerHits:         cfg.Metrics.Counter("cluster_peer_hits_total", "answers recovered from a non-owner shard's cache"),
-		forwards:         cfg.Metrics.Counter("cluster_forwards_total", "requests forwarded for actual routing work"),
-		peerSweeps:       cfg.Metrics.Counter("cluster_peer_sweeps_total", "L2 misses that triggered a peer cache sweep"),
+		forwards:         cfg.Metrics.Counter("cluster_forwards_total", "forwarded requests not answered from a shard cache"),
+		peerSweeps:       cfg.Metrics.Counter("cluster_peer_sweeps_total", "L1 misses that swept the peers' caches for a suspect owner"),
 		failovers:        cfg.Metrics.Counter("cluster_failovers_total", "forwards diverted past an unavailable shard"),
 		noShards:         cfg.Metrics.Counter("cluster_no_shards_total", "requests refused with every shard unavailable"),
 		rebalances:       cfg.Metrics.Counter("cluster_rebalances_total", "shard transitions into down (keys moved to successors)"),
 		handbacks:        cfg.Metrics.Counter("cluster_handbacks_total", "shard recoveries (keys handed back to their owner)"),
-		hotSpread:        cfg.Metrics.Counter("cluster_hot_spread_total", "hot-digest requests routed to a non-primary replica"),
 		scrapeErrors:     cfg.Metrics.Counter("cluster_scrape_errors_total", "failed shard metric scrapes during aggregation"),
 		shardsSelectable: cfg.Metrics.Gauge("cluster_shards_selectable", "shards currently accepting routed work"),
 		shardsReady:      cfg.Metrics.Gauge("cluster_shards_ready", "shards fully warm"),
-		hotKeys:          cfg.Metrics.Gauge("cluster_hot_keys", "digests over the hot threshold in the current window"),
 		requestMs:        cfg.Metrics.Histogram("cluster_request_ms", "front-tier request latency (ms)", obs.ExpBuckets(0.25, 2, 14)),
 		forwardMs:        cfg.Metrics.Histogram("cluster_forward_ms", "shard forward latency (ms)", obs.ExpBuckets(0.25, 2, 14)),
 	}
-	rt.hot = newHotTracker(cfg.HotThreshold, rt.inst.hotKeys)
 	rt.shards = make([]*shard, len(cfg.Shards))
 	for i, raw := range cfg.Shards {
 		base := strings.TrimRight(raw, "/")
@@ -207,16 +161,14 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("cluster: shard %d: %q is not an absolute URL", i, raw)
 		}
 		sh := &shard{
-			id:   i,
 			name: u.Host,
 			base: base,
 			client: &serve.Client{
 				Base:             base,
 				Transport:        cfg.Transport,
-				MaxAttempts:      cfg.ForwardAttempts,
-				BreakerThreshold: cfg.BreakerThreshold,
-				BreakerCooldown:  cfg.BreakerCooldown,
-				Seed:             cfg.Seed + uint64(i)*0x9e3779b97f4a7c15,
+				MaxAttempts:      1,
+				BreakerThreshold: breakerThreshold,
+				BreakerCooldown:  breakerCooldown,
 				Metrics:          obs.NewRegistry(),
 			},
 			plain: &http.Client{Transport: cfg.Transport},
@@ -264,7 +216,7 @@ func (rt *Router) ProbeNow() {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			states[i] = sh.probeOnce(ctx, rt.cfg.PeekTimeout)
+			states[i] = sh.probeOnce(ctx)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -328,7 +280,7 @@ func (rt *Router) candidates(digest string) (cands []*shard, primary *shard) {
 }
 
 // ShardStates reports each shard's current state keyed by name, in
-// configuration order (for /readyz aggregation and harness assertions).
+// configuration order (for /readyz aggregation and drill assertions).
 type ShardStatus struct {
 	Name  string `json:"name"`
 	URL   string `json:"url"`
@@ -342,52 +294,3 @@ func (rt *Router) ShardStates() []ShardStatus {
 	}
 	return out
 }
-
-// hotTracker counts digest observations per decay window and flags the
-// ones past the threshold. The window resets every windowObservations
-// samples — crude exponential decay that needs no timers, keeps the map
-// bounded, and is deterministic under a deterministic request sequence.
-type hotTracker struct {
-	mu        sync.Mutex
-	threshold int
-	counts    map[string]int
-	seen      int
-	hotGauge  *obs.Gauge
-	hotNow    int64
-	spin      atomic.Uint64
-}
-
-// windowObservations is the decay period of the hot tracker; also caps
-// the count map at one entry per observation.
-const windowObservations = 8192
-
-func newHotTracker(threshold int, gauge *obs.Gauge) *hotTracker {
-	return &hotTracker{threshold: threshold, counts: make(map[string]int), hotGauge: gauge}
-}
-
-// observe records one request for digest and reports whether it is hot.
-func (h *hotTracker) observe(digest string) bool {
-	if h.threshold < 0 {
-		return false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seen++
-	if h.seen > windowObservations {
-		h.seen = 1
-		h.counts = make(map[string]int)
-		h.hotNow = 0
-		h.hotGauge.Set(0)
-	}
-	h.counts[digest]++
-	n := h.counts[digest]
-	if n == h.threshold {
-		h.hotNow++
-		h.hotGauge.Set(h.hotNow)
-	}
-	return n >= h.threshold
-}
-
-// next returns a monotonically increasing rotation index for spreading a
-// hot digest across its replica set.
-func (h *hotTracker) next() uint64 { return h.spin.Add(1) }

@@ -14,17 +14,32 @@ import (
 )
 
 // fakeNet is an in-process network: it dispatches round trips to
-// registered handlers by host name and can take any host "down"
-// (connection refused) — the deterministic, race-friendly substrate for
-// every routing/failover test that doesn't need real process lifecycles.
+// registered handlers by host name, can take any host "down" (connection
+// refused) and counts round trips by method and path — the deterministic,
+// race-friendly substrate for every routing/failover test that doesn't
+// need real process lifecycles.
 type fakeNet struct {
 	mu       sync.Mutex
 	handlers map[string]http.Handler
 	down     map[string]bool
+	trips    map[string]int // "METHOD /path" → round trips
 }
 
 func newFakeNet() *fakeNet {
-	return &fakeNet{handlers: map[string]http.Handler{}, down: map[string]bool{}}
+	return &fakeNet{handlers: map[string]http.Handler{}, down: map[string]bool{}, trips: map[string]int{}}
+}
+
+// count returns the round trips so far whose "METHOD /path" starts with prefix.
+func (f *fakeNet) count(prefix string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for k, v := range f.trips {
+		if strings.HasPrefix(k, prefix) {
+			n += v
+		}
+	}
+	return n
 }
 
 func (f *fakeNet) add(host string, h http.Handler) {
@@ -46,6 +61,7 @@ func (f *fakeNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	f.mu.Lock()
 	h, ok := f.handlers[req.URL.Host]
 	dead := f.down[req.URL.Host]
+	f.trips[req.Method+" "+req.URL.Path]++
 	f.mu.Unlock()
 	if !ok || dead {
 		return nil, fmt.Errorf("dial tcp %s: connection refused", req.URL.Host)
@@ -416,34 +432,38 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 }
 
-// TestClusterHotSpread: past the hot threshold, one digest's traffic
-// rotates across its replica set instead of pinning its primary owner —
-// and every replica still answers bit-identically.
-func TestClusterHotSpread(t *testing.T) {
-	tc := newTestCluster(t, 2, func(c *Config) {
-		c.L1Size = -1 // let repeats reach the hot tracker
-		c.HotThreshold = 3
-		c.HotReplicas = 2
-	}, serve.Config{})
-	body := `{"config":{"numSinks":12,"seed":77,"numInstr":6,"streamLen":100},"mode":"gated-red"}`
-	var tree string
-	shardsSeen := map[string]bool{}
-	for i := 0; i < 16; i++ {
+// TestClusterOneLookupPerMiss pins the lookup ladder on a settled cluster:
+// with L1 off, each miss costs exactly one round trip — the forward —
+// and no cache peek. The repeat is answered by the owner's own cache,
+// labelled l2, with the same tree.
+func TestClusterOneLookupPerMiss(t *testing.T) {
+	tc := newTestCluster(t, 2, func(c *Config) { c.L1Size = -1 }, serve.Config{})
+	body := `{"config":{"numSinks":12,"seed":31,"numInstr":6,"streamLen":100},"mode":"gated-red"}`
+	var answers []*serve.RouteResponse
+	var recs []*httptest.ResponseRecorder
+	for i := 1; i <= 2; i++ {
 		rec, resp := tc.post(t, body)
 		if resp == nil {
-			t.Fatalf("hot request %d failed: %d %s", i, rec.Code, rec.Body.String())
+			t.Fatalf("request %d answered %d: %s", i, rec.Code, rec.Body.String())
 		}
-		if tree == "" {
-			tree = resp.TreeDigest
-		} else if resp.TreeDigest != tree {
-			t.Fatalf("hot replica diverged at request %d", i)
+		if got := tc.net.count("POST /v1/route"); got != i {
+			t.Fatalf("after request %d: %d forwards, want %d", i, got, i)
 		}
-		shardsSeen[rec.Header().Get("X-Cluster-Shard")] = true
+		if got := tc.net.count("GET /v1/cache/"); got != 0 {
+			t.Fatalf("after request %d: %d cache peeks, want none", i, got)
+		}
+		answers, recs = append(answers, resp), append(recs, rec)
 	}
-	if tc.rt.inst.hotSpread.Value() == 0 {
-		t.Fatal("hot digest never spread to a replica")
+	if src := recs[1].Header().Get("X-Cluster-Source"); src != "l2" {
+		t.Fatalf("repeat answered from %q, want l2", src)
 	}
-	if len(shardsSeen) < 2 {
-		t.Fatalf("hot digest served by %v, want both shards", shardsSeen)
+	if a, b := recs[0].Header().Get("X-Cluster-Shard"), recs[1].Header().Get("X-Cluster-Shard"); a == "" || a != b {
+		t.Fatalf("repeat served by %q, first by %q: want the owner both times", b, a)
+	}
+	if answers[1].TreeDigest != answers[0].TreeDigest {
+		t.Fatalf("repeat tree %s, first %s", answers[1].TreeDigest, answers[0].TreeDigest)
+	}
+	if l2, fwd := tc.rt.inst.l2Hits.Value(), tc.rt.inst.forwards.Value(); l2 != 1 || fwd != 1 {
+		t.Fatalf("cluster_l2_hits_total %d, cluster_forwards_total %d: want 1 and 1", l2, fwd)
 	}
 }

@@ -20,9 +20,9 @@ const frontMaxBody = 64 << 20
 
 // answer is the outcome of one front-tier submission, ready to write:
 // either a RouteResponse (status 200) or an ErrorResponse, plus the
-// provenance headers. Source is one of "l1", "l2", "peer", "shard",
-// "error"; Shard names the backend that produced the payload, empty for
-// purely local answers.
+// provenance headers. Source is one of "l1", "l2" (the shard answered
+// from its cache), "peer", "shard", "error"; Shard names the backend that
+// produced the payload, empty for purely local answers.
 type answer struct {
 	status     int
 	route      *serve.RouteResponse
@@ -117,7 +117,6 @@ func (rt *Router) submit(ctx context.Context, body []byte) *answer {
 			route: serve.BuildRouteResponse(rr, digest, true, false, res)}
 	}
 
-	hot := rt.hot.observe(digest)
 	cands, primary := rt.candidates(digest)
 	if len(cands) == 0 {
 		rt.inst.noShards.Inc()
@@ -125,48 +124,18 @@ func (rt *Router) submit(ctx context.Context, body []byte) *answer {
 			errBody: &serve.ErrorResponse{Error: "cluster: no shard available", Kind: "no_shards"}}
 	}
 
-	// Owner selection: the first live shard in ring order — except for hot
-	// digests, which rotate across the first HotReplicas live owners so a
-	// single viral request spreads its load (each replica warms its own
-	// cache copy: bounded replication, not global).
-	owner := cands[0]
-	if hot && rt.cfg.HotReplicas > 1 {
-		k := rt.cfg.HotReplicas
-		if k > len(cands) {
-			k = len(cands)
-		}
-		owner = cands[rt.hot.next()%uint64(k)]
-		if owner != cands[0] {
-			rt.inst.hotSpread.Inc()
-		}
-	}
-
-	// L2: the owner's cache by digest — a GET, no routing work.
-	if res := owner.peek(ctx, digest, rt.cfg.PeekTimeout); res != nil {
-		rt.inst.l2Hits.Inc()
-		rt.l1.Add(digest, res)
-		return &answer{status: http.StatusOK, source: "l2", shardName: owner.name,
-			route: serve.BuildRouteResponse(rr, digest, true, false, res)}
-	}
-
 	// Peer sweep, only when the owner's cache is suspect: the first live
 	// candidate is standing in for a down primary (the result may live on
 	// whichever shard computed it during the outage), or the owner is
 	// itself warming from a restart and its snapshot has not landed yet.
-	// Hot rotation deliberately does NOT trigger a sweep — a rotated
-	// replica that misses must recompute and keep its own copy (that's
-	// what makes the replication real), not fetch the primary's forever.
 	// On a healthy, settled cluster the sweep never runs, so cold keys
-	// don't pay N−1 extra GETs — and the warmup test's assertion that
+	// don't pay N−1 extra GETs — and the warm-restart test's assertion that
 	// peer fetch stops once /readyz reports ready is a structural
 	// property, not a tuning accident.
-	if !rt.cfg.NoPeerFetch && (cands[0] != primary || !owner.ready()) {
+	if cands[0] != primary || !cands[0].ready() {
 		rt.inst.peerSweeps.Inc()
-		for _, sh := range cands {
-			if sh == owner {
-				continue
-			}
-			if res := sh.peek(ctx, digest, rt.cfg.PeekTimeout); res != nil {
+		for _, sh := range cands[1:] {
+			if res := sh.peek(ctx, digest); res != nil {
 				rt.inst.peerHits.Inc()
 				rt.l1.Add(digest, res)
 				return &answer{status: http.StatusOK, source: "peer", shardName: sh.name,
@@ -175,28 +144,28 @@ func (rt *Router) submit(ctx context.Context, body []byte) *answer {
 		}
 	}
 
-	return rt.forward(ctx, body, digest, owner, cands)
+	// One forward. The owner checks its own cache before admission, so a
+	// repeat costs it no routing; such an answer is the L2 hit.
+	ans := rt.forward(ctx, body, digest, cands)
+	if ans.source == "l2" {
+		rt.inst.l2Hits.Inc()
+	} else {
+		rt.inst.forwards.Inc()
+	}
+	return ans
 }
 
-// forward walks the candidate list starting at the chosen owner and pays
-// for one real route execution. Transport-level failures demote the shard
-// and fail over in-line; HTTP error answers fail over too (another shard
-// may well succeed where one is drowning or fault-injected) but are
+// forward walks the candidate list in ring order and pays for at most one
+// real route execution. Transport-level failures demote the shard and
+// fail over in-line; HTTP error answers fail over too (another shard may
+// well succeed where one is drowning or fault-injected) but are
 // preserved, so when every candidate is spent the client sees the last
 // shard's own status, kind and Retry-After verbatim — never a generic
 // rewrap. Only when no shard produced any HTTP answer does the front tier
 // synthesize its own 503.
-func (rt *Router) forward(ctx context.Context, body []byte, digest string, owner *shard, cands []*shard) *answer {
-	rt.inst.forwards.Inc()
-	order := make([]*shard, 0, len(cands))
-	order = append(order, owner)
-	for _, sh := range cands {
-		if sh != owner {
-			order = append(order, sh)
-		}
-	}
+func (rt *Router) forward(ctx context.Context, body []byte, digest string, cands []*shard) *answer {
 	var lastHTTP *answer
-	for i, sh := range order {
+	for i, sh := range cands {
 		if ctx.Err() != nil {
 			break
 		}
@@ -214,7 +183,11 @@ func (rt *Router) forward(ctx context.Context, body []byte, digest string, owner
 			// A real answer from a live shard; admit it into L1 so repeats
 			// stay local.
 			rt.l1.Add(digest, cres.Response.Result())
-			return &answer{status: http.StatusOK, source: "shard", shardName: sh.name, route: cres.Response}
+			source := "shard"
+			if cres.Response.Cached {
+				source = "l2"
+			}
+			return &answer{status: http.StatusOK, source: source, shardName: sh.name, route: cres.Response}
 		case cres != nil && cres.Status != 0:
 			// The shard answered deliberately. 4xx (other than 429) is a
 			// property of the request — every shard would agree, so it is
@@ -307,7 +280,7 @@ func (rt *Router) mergedSnapshot(ctx context.Context) obs.Snapshot {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			snap, err := sh.scrapeSnapshot(ctx, rt.cfg.PeekTimeout)
+			snap, err := sh.scrapeSnapshot(ctx)
 			if err != nil {
 				rt.inst.scrapeErrors.Inc()
 				return

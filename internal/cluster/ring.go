@@ -12,8 +12,8 @@ import (
 // circle (FNV-1a over "shard<i>#<v>"); a key owns the first point at or
 // clockwise after it, and its preference order is the sequence of
 // *distinct* shards met walking clockwise — the same order every front
-// tier derives independently, which is what makes failover targets and
-// hot-key replica sets agree across processes without coordination.
+// tier derives independently, which is what makes failover targets
+// agree across processes without coordination.
 //
 // The ring is immutable after construction: shard loss is handled by
 // filtering the preference order by live health at lookup time, not by

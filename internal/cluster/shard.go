@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -49,12 +48,11 @@ func (s shardState) String() string {
 	}
 }
 
-// shard is one routing backend: its resilient forward client (circuit
-// breaker, deterministic jitter), a plain client for the cheap GET paths
+// shard is one routing backend: its forward client (one attempt behind a
+// circuit breaker), a plain client for the cheap GET paths
 // (peek, probe, metrics scrape — these must not share the breaker, or a
 // down shard could never be probed back to life), and the atomic state.
 type shard struct {
-	id     int
 	name   string // host:port, the stable identity in headers and reports
 	base   string // full base URL
 	client *serve.Client
@@ -79,8 +77,8 @@ func (s *shard) ready() bool { return s.getState() == shardReady }
 // shardState. The JSON body's status field is authoritative (readyz
 // answers 503 for both warming and draining, which the state machine must
 // distinguish); a transport error or unparseable body means down.
-func (s *shard) probeOnce(ctx context.Context, timeout time.Duration) shardState {
-	pctx, cancel := context.WithTimeout(ctx, timeout)
+func (s *shard) probeOnce(ctx context.Context) shardState {
+	pctx, cancel := context.WithTimeout(ctx, peekTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, s.base+"/readyz", nil)
 	if err != nil {
@@ -114,11 +112,11 @@ func (s *shard) probeOnce(ctx context.Context, timeout time.Duration) shardState
 }
 
 // peek asks the shard's cache for a result by digest — GET /v1/cache/…,
-// the L2/peer read path. Only a well-formed 200 counts; every other
+// the peer-fetch read path. Only a well-formed 200 counts; every other
 // outcome (404 miss, refusal, transport error) is a nil, and is never a
 // health signal: a miss is normal, and the forward path owns demotion.
-func (s *shard) peek(ctx context.Context, digest string, timeout time.Duration) *serve.RouteResult {
-	pctx, cancel := context.WithTimeout(ctx, timeout)
+func (s *shard) peek(ctx context.Context, digest string) *serve.RouteResult {
+	pctx, cancel := context.WithTimeout(ctx, peekTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, s.base+"/v1/cache/"+digest, nil)
 	if err != nil {
@@ -142,8 +140,8 @@ func (s *shard) peek(ctx context.Context, digest string, timeout time.Duration) 
 
 // scrapeSnapshot pulls the shard's obs snapshot (GET /metrics.json) for
 // the cluster-wide aggregation.
-func (s *shard) scrapeSnapshot(ctx context.Context, timeout time.Duration) (obs.Snapshot, error) {
-	pctx, cancel := context.WithTimeout(ctx, timeout)
+func (s *shard) scrapeSnapshot(ctx context.Context) (obs.Snapshot, error) {
+	pctx, cancel := context.WithTimeout(ctx, peekTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, s.base+"/metrics.json", nil)
 	if err != nil {

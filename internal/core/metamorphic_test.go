@@ -14,9 +14,12 @@ import (
 	"repro/internal/topology"
 )
 
-// planeMap is a symmetry of the square die [0, side]²: it maps the die,
-// its centre (the clock source and the centralized controller) and every
-// Manhattan distance onto themselves.
+// planeMap is an isometry of the Manhattan plane that carries the square
+// die [0, side]² onto a square die of the same side: it keeps every
+// Manhattan distance and maps the die's centre (the clock source and the
+// centralized controller) onto the image die's centre. The mirrors and the
+// swap map the die onto itself; the shifts move it, and the source and
+// the controller move with it.
 type planeMap struct {
 	name string
 	f    func(p geom.Point, side float64) geom.Point
@@ -26,16 +29,26 @@ var planeMaps = []planeMap{
 	{"mirror-x", func(p geom.Point, side float64) geom.Point { return geom.Pt(side-p.X, p.Y) }},
 	{"mirror-y", func(p geom.Point, side float64) geom.Point { return geom.Pt(p.X, side-p.Y) }},
 	{"swap", func(p geom.Point, _ float64) geom.Point { return geom.Pt(p.Y, p.X) }},
+	{"shift-4096", shift(4096)},
+	{"shift-2^20", shift(1 << 20)},
+}
+
+// shift translates by (s, s).
+func shift(s float64) func(geom.Point, float64) geom.Point {
+	return func(p geom.Point, _ float64) geom.Point { return geom.Pt(p.X+s, p.Y+s) }
 }
 
 // TestMetamorphicPlaneSymmetries is an oracle that reaches past the
-// quadratic reference greedy: mirroring the sinks in x or y, or swapping
-// the axes, changes no pair cost and no gating decision, so each
+// quadratic reference greedy: mirroring the sinks in x or y, swapping the
+// axes, or translating the whole instance (die, sinks, source and
+// controller) changes no pair cost and no gating decision, so each
 // transformed route must deliver the same W(T)+W(S) (power.Evaluate) to
 // within 1e-12 relative, while its tree, placed differently, must change
-// digest. It routes r1–r5 gated (every edge gated), gated-red and
-// buffered, and a 16,384-sink uniform instance gated-red under mirror-x
-// and swap. -short keeps r1–r2 and skips the 16k instance.
+// digest. The shifts, by 4096 and by 2^20 in both axes, also move the
+// spatial index's grid origin far from zero. It routes r1–r5 gated (every
+// edge gated), gated-red and buffered under every map, and a 16,384-sink
+// uniform instance gated-red under mirror-x and swap. -short keeps r1–r2
+// and skips the 16k instance.
 func TestMetamorphicPlaneSymmetries(t *testing.T) {
 	p := tech.Default()
 	modes := []struct {
@@ -96,6 +109,8 @@ func checkPlaneMaps(t *testing.T, label string, in *Instance, opts Options, maps
 	worst := 0.0
 	for _, m := range maps {
 		img := *in
+		lo, hi := m.f(geom.Pt(d.X0, d.Y0), d.X1), m.f(geom.Pt(d.X1, d.Y1), d.X1)
+		img.Die = geom.Rect{X0: min(lo.X, hi.X), Y0: min(lo.Y, hi.Y), X1: max(lo.X, hi.X), Y1: max(lo.Y, hi.Y)}
 		img.SinkLocs = make([]geom.Point, len(in.SinkLocs))
 		for i, p := range in.SinkLocs {
 			img.SinkLocs[i] = m.f(p, d.X1)

@@ -1,4 +1,4 @@
-package cluster
+package drill
 
 import (
 	"encoding/json"
@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -35,11 +37,14 @@ func TestClusterWarmRestartPeerFetch(t *testing.T) {
 		}
 		defer procs[i].stop(true)
 	}
-	rt, err := New(Config{
+	reg := obs.NewRegistry()
+	counter := func(name string) int64 { return reg.Snapshot()[name].Value }
+	rt, err := cluster.New(cluster.Config{
 		Shards:         []string{procs[0].url(), procs[1].url()},
 		L1Size:         -1, // every lookup must consult the shards
 		ProbeInterval:  -1, // the test drives ProbeNow for determinism
 		ForwardTimeout: 30 * time.Second,
+		Metrics:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,31 +54,12 @@ func TestClusterWarmRestartPeerFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bodies := serve.DistinctBodies(16, 4200)
-	// The pool must contain keys owned by the shard we restart, or the
-	// drill drills nothing. Placement is deterministic, so this is a
-	// one-time sanity gate, not a flake source.
-	ownedByB := 0
-	for _, b := range bodies {
-		req, err := serve.DecodeRouteRequest(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := req.Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.ring.owners(ringKey(rr.Digest()), 1)[0] == 1 {
-			ownedByB++
-		}
-	}
-	if ownedByB < 3 {
-		t.Fatalf("only %d/16 bodies owned by shard B; widen the pool", ownedByB)
-	}
-
-	postAll := func(phase string) map[string]int {
+	bodies := distinctBodies(16, 4200)
+	// postAll posts every body once and tallies the answers by
+	// X-Cluster-Source and by X-Cluster-Shard.
+	postAll := func(phase string) (sources, shards map[string]int) {
 		t.Helper()
-		sources := map[string]int{}
+		sources, shards = map[string]int{}, map[string]int{}
 		for _, b := range bodies {
 			req := httptest.NewRequest(http.MethodPost, "/v1/route", strings.NewReader(string(b)))
 			rec := httptest.NewRecorder()
@@ -82,11 +68,18 @@ func TestClusterWarmRestartPeerFetch(t *testing.T) {
 				t.Fatalf("%s: request answered %d: %s", phase, rec.Code, rec.Body.String())
 			}
 			sources[rec.Header().Get("X-Cluster-Source")]++
+			shards[rec.Header().Get("X-Cluster-Shard")]++
 		}
-		return sources
+		return sources, shards
 	}
 
-	postAll("healthy")  // warm every owner's cache
+	// Warm every owner's cache. On a healthy cluster with L1 off each
+	// answer comes from its owner, so the pool must hold keys owned by the
+	// shard we restart, or the drill drills nothing. Placement is
+	// deterministic, so this is a one-time sanity gate, not a flake source.
+	if _, owners := postAll("healthy"); owners[procs[1].addr] < 3 {
+		t.Fatalf("only %d/16 bodies owned by shard B; widen the pool", owners[procs[1].addr])
+	}
 	procs[1].stop(true) // drain: writes B's snapshot
 	rt.ProbeNow()       // B observed down
 	postAll("outage")   // B's keys recomputed on A — A now holds them
@@ -101,9 +94,9 @@ func TestClusterWarmRestartPeerFetch(t *testing.T) {
 		t.Fatalf("restarted shard state %q, want warming", st)
 	}
 
-	peerBefore := rt.inst.peerHits.Value()
-	warming := postAll("warming")
-	peerDuringWarmup := rt.inst.peerHits.Value() - peerBefore
+	peerBefore := counter("cluster_peer_hits_total")
+	warming, _ := postAll("warming")
+	peerDuringWarmup := counter("cluster_peer_hits_total") - peerBefore
 	if peerDuringWarmup == 0 {
 		t.Fatalf("no peer fetches while the owner warms; sources: %v", warming)
 	}
@@ -115,20 +108,20 @@ func TestClusterWarmRestartPeerFetch(t *testing.T) {
 	if err := waitAllReady(rt, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	peerBefore = rt.inst.peerHits.Value()
-	l2Before := rt.inst.l2Hits.Value()
-	ready := postAll("ready")
-	if d := rt.inst.peerHits.Value() - peerBefore; d != 0 {
+	peerBefore = counter("cluster_peer_hits_total")
+	l2Before := counter("cluster_l2_hits_total")
+	ready, _ := postAll("ready")
+	if d := counter("cluster_peer_hits_total") - peerBefore; d != 0 {
 		t.Fatalf("%d peer fetches after the owner reported ready; sources: %v", d, ready)
 	}
-	if d := rt.inst.l2Hits.Value() - l2Before; d == 0 {
+	if d := counter("cluster_l2_hits_total") - l2Before; d == 0 {
 		t.Fatalf("no L2 hits from the snapshot-restored cache; sources: %v", ready)
 	}
 }
 
 // TestClusterReadyzDegradedDuringRestart: the aggregated /readyz reports
 // "degraded" (still 200) while one shard warms, and "ready" only after
-// every shard is warm — the signal a balancer or the harness waits on.
+// every shard is warm — the signal a balancer or the drill waits on.
 func TestClusterReadyzDegradedDuringRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket restart: skipped in -short")
@@ -142,7 +135,7 @@ func TestClusterReadyzDegradedDuringRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.stop(true)
-	rt, err := New(Config{Shards: []string{sh.url()}, ProbeInterval: -1})
+	rt, err := cluster.New(cluster.Config{Shards: []string{sh.url()}, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

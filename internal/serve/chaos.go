@@ -14,7 +14,7 @@ import (
 
 // ErrInjected marks a failure manufactured by the chaos injector rather
 // than the routing pipeline. The HTTP layer answers 500 with kind
-// "injected", so clients (and the chaos harness's availability accounting)
+// "injected", so clients (and the node drill's availability accounting)
 // can tell manufactured faults from real ones.
 var ErrInjected = errors.New("serve: injected fault")
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -193,67 +192,5 @@ func TestParseChaos(t *testing.T) {
 		if _, err := ParseChaos(bad); err == nil {
 			t.Errorf("ParseChaos(%q) accepted a malformed spec", bad)
 		}
-	}
-}
-
-// TestChaosHarnessEndToEnd is the acceptance run the issue asks for: a
-// seeded schedule of injected panics, errors and latency, a kill/drain
-// window, and one snapshot/restart cycle — completing with zero process
-// crashes, ≥99% success on non-injected outcomes, every panic recovered
-// into a typed counted 500, and a warm post-restart cache.
-func TestChaosHarnessEndToEnd(t *testing.T) {
-	bodies := make([][]byte, 120)
-	for i := range bodies {
-		bodies[i] = []byte(distinctBody(2000 + i))
-	}
-	killBodies := make([][]byte, 12)
-	for i := range killBodies {
-		killBodies[i] = []byte(distinctBody(3000 + i)) // cold digests: the drain must refuse them
-	}
-	rep, err := RunChaosHarness(ChaosHarnessConfig{
-		Requests:    300,
-		Concurrency: 8,
-		Chaos: Chaos{
-			Seed:        11,
-			PanicPeriod: 20, ErrorPeriod: 20,
-			LatencyPeriod: 40, Latency: 200 * time.Microsecond,
-			SlowPeriod: 40, Slow: 200 * time.Microsecond,
-		},
-		SnapshotPath: filepath.Join(t.TempDir(), "chaos.snap"),
-		Workers:      4,
-		MaxAttempts:  4,
-		Bodies:       bodies,
-		KillBodies:   killBodies,
-		route:        hexRoute,
-	})
-	if err != nil {
-		t.Fatalf("harness: %v", err)
-	}
-
-	if rep.OtherFailures != 0 {
-		t.Errorf("%d non-injected failures, want 0", rep.OtherFailures)
-	}
-	if rep.Availability < 0.99 {
-		t.Errorf("availability %.4f, want >= 0.99", rep.Availability)
-	}
-	if rep.ServerPanics == 0 || rep.ServerPanics != rep.InjectedPanics {
-		t.Errorf("panics: injected %d, recovered+counted %d — every injected panic must surface as a typed 500",
-			rep.InjectedPanics, rep.ServerPanics)
-	}
-	if rep.InjectedErrors == 0 || rep.Retries == 0 {
-		t.Errorf("injected errors %d / client retries %d — the run never exercised the retry path", rep.InjectedErrors, rep.Retries)
-	}
-	if rep.SnapshotSaves < 1 {
-		t.Errorf("snapshot saves %d, want >= 1 (the on-drain save)", rep.SnapshotSaves)
-	}
-	if rep.BreakerOpens < 1 || rep.BreakerFastFails < 1 {
-		t.Errorf("kill window: breaker opened %d times, fast-failed %d — the breaker never protected the draining server",
-			rep.BreakerOpens, rep.BreakerFastFails)
-	}
-	if rep.Replayed == 0 || rep.PostRestartHitRate <= 0 {
-		t.Errorf("post-restart hit rate %.3f over %d replays, want > 0 (warm restart)", rep.PostRestartHitRate, rep.Replayed)
-	}
-	if rep.SnapshotLoaded == 0 {
-		t.Errorf("serve_snapshot_loaded_total %d, want > 0", rep.SnapshotLoaded)
 	}
 }

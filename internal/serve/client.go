@@ -23,14 +23,14 @@ var ErrBreakerOpen = errors.New("serve: circuit breaker open")
 
 // Client is the resilient side of the route API: retries with full-jitter
 // exponential backoff that yields to the server's Retry-After hints, a
-// per-host circuit breaker (closed → open → half-open), optional request
-// hedging for the tail, and context-deadline budget propagation — a retry
-// never sleeps past the caller's deadline, and every attempt carries the
-// caller's context so the server stops working for a caller that is gone.
+// per-host circuit breaker (closed → open → half-open), and
+// context-deadline budget propagation — a retry never sleeps past the
+// caller's deadline, and every attempt carries the caller's context so the
+// server stops working for a caller that is gone.
 //
 // Route requests are idempotent by construction (the server keys them by
 // canonical digest and re-executions are bit-identical), which is what
-// makes both retries and hedging safe.
+// makes retries safe.
 //
 // The zero value plus a Base (or Transport) is usable; all policy knobs
 // have production defaults. A Client is safe for concurrent use.
@@ -63,11 +63,6 @@ type Client struct {
 	// letting one half-open probe through (0 = 5s).
 	BreakerCooldown time.Duration
 
-	// HedgeDelay arms tail hedging: when the first attempt has not
-	// answered after this long, a second identical attempt races it and
-	// the loser is canceled (0 = disabled).
-	HedgeDelay time.Duration
-
 	// Metrics receives the client_* instruments (nil = a fresh private
 	// registry).
 	Metrics *obs.Registry
@@ -87,7 +82,6 @@ type Client struct {
 type clientInstruments struct {
 	requests, attempts, retries *obs.Counter
 	fastFails, breakerOpens     *obs.Counter
-	hedges, hedgeWins           *obs.Counter
 	breakerState                *obs.Gauge
 }
 
@@ -100,12 +94,8 @@ type ClientResult struct {
 	// ErrorBody is the decoded body of a final non-2xx answer, when the
 	// server sent one.
 	ErrorBody *ErrorResponse
-	// Attempts counts round trips performed, hedges included.
-	Attempts int
 	// Retries counts backoff-then-retry cycles (sequential attempts − 1).
 	Retries int
-	// Hedged reports that the winning response came from a hedge attempt.
-	Hedged bool
 	// RetryAfter is the Retry-After duration of the final answer, when the
 	// server sent one (429/503). A proxying caller — the cluster front
 	// tier — forwards it verbatim so the end client's backoff keys off the
@@ -145,12 +135,10 @@ func (c *Client) init() {
 		c.rng = rand.New(rand.NewSource(int64(c.Seed)))
 		c.inst = &clientInstruments{
 			requests:     c.Metrics.Counter("client_requests_total", "Route calls issued"),
-			attempts:     c.Metrics.Counter("client_attempts_total", "HTTP round trips performed (hedges included)"),
+			attempts:     c.Metrics.Counter("client_attempts_total", "HTTP round trips performed"),
 			retries:      c.Metrics.Counter("client_retries_total", "backoff-then-retry cycles"),
 			fastFails:    c.Metrics.Counter("client_breaker_fastfail_total", "calls rejected instantly by an open breaker"),
 			breakerOpens: c.Metrics.Counter("client_breaker_opens_total", "breaker transitions into open"),
-			hedges:       c.Metrics.Counter("client_hedges_total", "hedge attempts launched"),
-			hedgeWins:    c.Metrics.Counter("client_hedge_wins_total", "hedge attempts that answered first"),
 			breakerState: c.Metrics.Gauge("client_breaker_state", "0 closed, 1 open, 2 half-open"),
 		}
 		c.breaker = newBreaker(c.BreakerThreshold, c.BreakerCooldown, c.inst)
@@ -180,7 +168,7 @@ func (c *Client) Route(ctx context.Context, body []byte) (*ClientResult, error) 
 			}
 			return out, ErrBreakerOpen
 		}
-		resp, hedged, err := c.attempt(ctx, body)
+		resp, err := c.roundTrip(ctx, body)
 		if err != nil {
 			c.breaker.record(false, c.now())
 			lastErr = err
@@ -196,7 +184,6 @@ func (c *Client) Route(ctx context.Context, body []byte) (*ClientResult, error) 
 			continue
 		}
 		out.Status = resp.status
-		out.Hedged = hedged
 		out.RetryAfter = resp.retryAfter
 		c.breaker.record(resp.status < 500, c.now())
 		switch {
@@ -231,57 +218,6 @@ type attemptResponse struct {
 	route      *RouteResponse
 	errBody    *ErrorResponse
 	retryAfter time.Duration
-}
-
-// attempt performs one logical attempt: a single round trip, or — when
-// hedging is armed — up to two racing round trips with the loser
-// canceled. The returned bool reports a hedge win.
-func (c *Client) attempt(ctx context.Context, body []byte) (*attemptResponse, bool, error) {
-	if c.HedgeDelay <= 0 {
-		r, err := c.roundTrip(ctx, body)
-		return r, false, err
-	}
-
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the losing round trip; its goroutine then exits
-	type indexed struct {
-		idx  int
-		resp *attemptResponse
-		err  error
-	}
-	results := make(chan indexed, 2)
-	launch := func(idx int) {
-		go func() {
-			r, err := c.roundTrip(actx, body)
-			results <- indexed{idx, r, err}
-		}()
-	}
-	launch(0)
-	timer := time.NewTimer(c.HedgeDelay)
-	defer timer.Stop()
-	select {
-	case first := <-results:
-		return first.resp, false, first.err
-	case <-timer.C:
-		c.inst.hedges.Inc()
-		launch(1)
-	}
-	// Two round trips racing: take the first success, or the second
-	// result if the first to arrive failed. The deferred cancel aborts
-	// the loser, whose goroutine drains into the buffered channel — no
-	// leak.
-	var failed indexed
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.err == nil {
-			if r.idx == 1 {
-				c.inst.hedgeWins.Inc()
-			}
-			return r.resp, r.idx == 1, nil
-		}
-		failed = r
-	}
-	return nil, false, failed.err
 }
 
 // roundTrip performs one HTTP round trip and parses the answer.
@@ -439,8 +375,8 @@ func (b *breaker) setState(s int64) {
 	b.inst.breakerState.Set(s)
 }
 
-// State returns the breaker state for inspection: "closed", "open" or
-// "half-open".
+// BreakerState returns the breaker state for inspection: "closed", "open"
+// or "half-open".
 func (c *Client) BreakerState() string {
 	c.init()
 	c.breaker.mu.Lock()
@@ -456,9 +392,8 @@ func (c *Client) BreakerState() string {
 }
 
 // HandlerTransport adapts an in-process http.Handler into the client's
-// RoundTripper, so the resilient client, LoadGen and the chaos harness
-// can drive a Server without sockets — deterministic and race-detector
-// friendly.
+// RoundTripper, so the resilient client can drive a Server (or a cluster
+// front tier) without sockets — deterministic and race-detector friendly.
 func HandlerTransport(h http.Handler) http.RoundTripper {
 	return handlerTransport{h: h}
 }

@@ -40,10 +40,6 @@ type Config struct {
 	// MaxTimeout caps every request's routing deadline; requests may ask
 	// for less via timeoutMs but never more (0 = 2m).
 	MaxTimeout time.Duration
-	// RouteWorkers is passed to core Options.Workers per route (0 = 1:
-	// the pool provides cross-request parallelism, so per-route scan
-	// parallelism defaults off to avoid oversubscription).
-	RouteWorkers int
 	// Verify runs the independent checker (internal/verify) on every
 	// cache miss before the result is admitted to the cache, so a cached
 	// entry is always a verified one.
@@ -113,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = 30 * time.Second
-	}
-	if c.RouteWorkers <= 0 {
-		c.RouteWorkers = 1
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -285,7 +278,7 @@ type submitInfo struct {
 	coalesced bool
 }
 
-// submit is the request path shared by the HTTP handlers and LoadGen:
+// submit is the request path shared by the route and batch handlers:
 // cache lookup, singleflight join, admission with backpressure, then wait.
 // ctx is the caller's (client-connection) context: its cancellation stops
 // the wait, and when the last waiter of an execution leaves, the execution
@@ -406,7 +399,7 @@ func (s *Server) runJob(j *job) {
 	} else {
 		opts := j.rr.Opts
 		opts.Verify = opts.Verify || s.cfg.Verify
-		opts.Workers = s.cfg.RouteWorkers
+		opts.Workers = 1 // the pool gives cross-request parallelism
 		opts.Metrics = s.cfg.Metrics
 		opts.Tracer = s.cfg.Tracer
 		s.inst.inflight.Set(int64(s.inflightDelta(1)))

@@ -547,55 +547,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestLoadGenMixed is the end-to-end smoke the daemon rides on: a mixed
-// hit/miss/invalid load through the real routing pipeline, with the
-// client-side tally cross-checked against the server counters. Runs under
-// -race in `make race`.
-func TestLoadGenMixed(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 32, CacheSize: 64})
-	defer shutdownOrFail(t, s)
-
-	gen := &LoadGen{
-		Handler:     s.Handler(),
-		Bodies:      MixedBodies(6, 3, 1),
-		Total:       80,
-		Concurrency: 8,
-	}
-	st, err := gen.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.OK+st.Shed+st.BadReq+st.Other != st.Total {
-		t.Errorf("tally %d+%d+%d+%d does not cover %d requests",
-			st.OK, st.Shed, st.BadReq, st.Other, st.Total)
-	}
-	if st.Other != 0 {
-		t.Errorf("%d unexpected statuses", st.Other)
-	}
-	if st.BadReq == 0 {
-		t.Error("invalid mix produced no 400s")
-	}
-	if st.Cached == 0 {
-		t.Error("repeated identical requests produced no cache hits")
-	}
-	if len(st.Conflicts) > 0 {
-		t.Errorf("tree digests not bit-identical: %v", st.Conflicts)
-	}
-	if !st.RetryAfterSeen {
-		t.Error("a 429 was missing its Retry-After header")
-	}
-	for name, client := range map[string]int{
-		"serve_cache_hits_total":   st.Cached,
-		"serve_coalesced_total":    st.Coalesced,
-		"serve_shed_total":         st.Shed,
-		"serve_bad_requests_total": st.BadReq,
-	} {
-		if server := s.Metrics().Snapshot()[name].Value; server != int64(client) {
-			t.Errorf("%s: server %d vs client %d", name, server, client)
-		}
-	}
-}
-
 // mustResolve parses and resolves a JSON body.
 func mustResolve(t *testing.T, body string) *Resolved {
 	t.Helper()
