@@ -61,7 +61,7 @@ perf-smoke:
 # here under -short: it routes at Workers 1, 2 and 8 and is the test that
 # puts the parallel best-partner searches under the race detector.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/obs/... ./internal/activity/... ./internal/serve/... ./internal/cluster/... ./internal/drill/... ./internal/lru/... ./cmd/gcr/... ./cmd/gcrd/... .
+	$(GO) test -race -short ./internal/core/... ./internal/obs/... ./internal/activity/... ./internal/serve/... ./internal/cluster/... ./internal/drill/... ./internal/sieve/... ./cmd/gcr/... ./cmd/gcrd/... .
 
 # Short mutation runs over every fuzz target. The checked-in seed corpora
 # (r1-r5 serializations among them) already run as unit cases in `make test`;

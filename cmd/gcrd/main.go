@@ -2,7 +2,7 @@
 // service over the library's zero-skew gated routing, with a fixed worker
 // pool, a bounded admission queue with 429/Retry-After backpressure, a
 // singleflight coalescer for identical in-flight requests, and a
-// digest-keyed LRU result cache.
+// digest-keyed SIEVE result cache.
 //
 // Usage:
 //

@@ -5,7 +5,7 @@
 // (the same SHA-256 the single-node serve cache keys on), so the mapping
 // from request to owning shard is a pure function every front tier and
 // test can recompute. An L1 miss costs one forward: the front tier's own
-// LRU answers repeats locally, and otherwise the request goes to the
+// SIEVE cache answers repeats locally, and otherwise the request goes to the
 // owner, whose cache answers a digest it holds before any admission or
 // routing (counted as L2). Only when a rebalance or a cold restart makes
 // the owner's cache suspect does the front tier first ask the other live
@@ -30,9 +30,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/sieve"
 )
 
 // Config assembles a Router. Shards is required; every other field has a
@@ -43,8 +43,8 @@ type Config struct {
 	// tier of one cluster must list the same shards in the same order.
 	Shards []string
 
-	// L1Size bounds the front tier's own result LRU (0 = 512, negative
-	// disables L1).
+	// L1Size bounds the front tier's own SIEVE result cache (0 = 512,
+	// negative disables L1).
 	L1Size int
 	// ForwardTimeout bounds one shard forward including queueing (0 = 2m).
 	ForwardTimeout time.Duration
@@ -112,7 +112,7 @@ type Router struct {
 	cfg    Config
 	shards []*shard
 	ring   *ring
-	l1     *lru.Cache[string, *serve.RouteResult]
+	l1     *sieve.Cache[string, *serve.RouteResult]
 	inst   *instruments
 
 	stop      chan struct{}
@@ -132,13 +132,13 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:  cfg,
 		ring: newRing(len(cfg.Shards), vnodes),
-		l1:   lru.New[string, *serve.RouteResult](cfg.L1Size),
+		l1:   sieve.New[string, *serve.RouteResult](cfg.L1Size),
 		stop: make(chan struct{}),
 	}
 	rt.inst = &instruments{
 		requests:         cfg.Metrics.Counter("cluster_requests_total", "route requests accepted by the front tier"),
 		badRequests:      cfg.Metrics.Counter("cluster_bad_requests_total", "requests rejected before shard selection"),
-		l1Hits:           cfg.Metrics.Counter("cluster_l1_hits_total", "answers served from the front tier's own LRU"),
+		l1Hits:           cfg.Metrics.Counter("cluster_l1_hits_total", "answers served from the front tier's own cache"),
 		l2Hits:           cfg.Metrics.Counter("cluster_l2_hits_total", "forwarded answers the shard served from its cache"),
 		peerHits:         cfg.Metrics.Counter("cluster_peer_hits_total", "answers recovered from a non-owner shard's cache"),
 		forwards:         cfg.Metrics.Counter("cluster_forwards_total", "forwarded requests not answered from a shard cache"),

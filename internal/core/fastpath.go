@@ -210,18 +210,6 @@ type greedyState struct {
 	forceCap float64
 	freq     lowFreq
 
-	// Arena-style recycling: fresh memo rows and dependent lists are
-	// carved from two slabs (three-index capped, so growth reallocates
-	// off-slab instead of aliasing a neighbor) and killed nodes hand
-	// theirs to their successors — steady-state merge work allocates
-	// nothing beyond genuine row growth.
-	rowSlab  []memoEntry
-	rowOff   int
-	depSlab  []int32
-	depOff   int
-	freeRows [][]memoEntry
-	freeDeps [][]int32
-
 	// stores counts memo writes — the memo-eligible misses that form the
 	// cache-hit-rate denominator. Owned by the router during routing.
 	stores *atomic.Int64
@@ -295,8 +283,9 @@ func (g *greedyState) orphan(id int32) {
 
 // kill retires the merged pair a, b: every other node whose cached partner
 // was a or b is orphaned, and each dying node leaves the dependent list of
-// its surviving partner, leaves the grid, and recycles its memo row and
-// dependent list for future merge nodes.
+// its surviving partner and leaves the grid. a keeps its memo row and
+// dependent list for the merge node to inherit (indexAdd); b's are
+// dropped.
 func (g *greedyState) kill(a, b int) {
 	g.alive[a], g.alive[b] = false, false
 	for _, id := range [2]int{a, b} {
@@ -310,54 +299,17 @@ func (g *greedyState) kill(a, b int) {
 		}
 		g.best[id] = cand{}
 		g.idx.remove(int32(id))
-		g.freeRows = append(g.freeRows, g.rows[id][:0])
-		g.rows[id] = nil
-		g.freeDeps = append(g.freeDeps, g.deps[id][:0])
-		g.deps[id] = nil
 	}
+	g.rows[b], g.deps[b] = nil, nil
 }
 
-// memoRowInit and depInit are the initial capacities of a compact memo
-// row and a reverse-dependent list — also the per-sink carve widths of
-// the two slabs attachIndex lays out.
+// memoRowInit and depInit are the initial capacities of a sink's compact
+// memo row and reverse-dependent list: the per-sink carve widths of the
+// two slabs attachIndex lays out.
 const (
 	memoRowInit = 16
 	depInit     = 8
 )
-
-// assignRow hands node id a recycled compact memo row, a slab carve, or a
-// fresh heap row when the slab is dry. Slab carves are zero-length with a
-// hard cap, so appending past memoRowInit moves the row off-slab instead
-// of growing into a neighbor's carve.
-func (g *greedyState) assignRow(id int) {
-	if n := len(g.freeRows); n > 0 {
-		g.rows[id] = g.freeRows[n-1]
-		g.freeRows = g.freeRows[:n-1]
-		return
-	}
-	if off := g.rowOff; off+memoRowInit <= len(g.rowSlab) {
-		g.rows[id] = g.rowSlab[off : off : off+memoRowInit]
-		g.rowOff = off + memoRowInit
-		return
-	}
-	g.rows[id] = make([]memoEntry, 0, memoRowInit)
-}
-
-// assignDeps hands node id a recycled dependent list, a slab carve, or a
-// fresh heap list (same carve rules as assignRow).
-func (g *greedyState) assignDeps(id int) {
-	if n := len(g.freeDeps); n > 0 {
-		g.deps[id] = g.freeDeps[n-1]
-		g.freeDeps = g.freeDeps[:n-1]
-		return
-	}
-	if off := g.depOff; off+depInit <= len(g.depSlab) {
-		g.deps[id] = g.depSlab[off : off : off+depInit]
-		g.depOff = off + depInit
-		return
-	}
-	g.deps[id] = make([]int32, 0, depInit)
-}
 
 // popCheapest returns the live node whose cached pair is globally
 // cheapest, discarding heap entries invalidated by merges or newer pushes.
@@ -565,7 +517,7 @@ func (r *router) runGreedy() (*topology.Node, error) {
 		g.kill(a.ID, b.ID)
 		g.byID[k.ID] = k
 		g.alive[k.ID] = true
-		r.indexAdd(g, k)
+		r.indexAdd(g, k, a.ID)
 		alive--
 
 		if g.idx.count <= g.idx.builtAt/2 {

@@ -302,14 +302,15 @@ func TestBoundsAdmissible(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Index every node of the routed tree: sinks through
-			// newGreedyState, merge nodes as the greedy enters them.
+			// newGreedyState, merge nodes as the greedy enters them,
+			// inheriting a child's memo row.
 			nodes := make([]*topology.Node, 2*n-1)
 			tree.Root.PreOrder(func(v *topology.Node) { nodes[v.ID] = v })
 			r := newRouter(context.Background(), in, cfg.opts)
 			g := r.newGreedyState(nodes[:n])
 			for _, v := range nodes[n:] {
 				g.byID[v.ID], g.alive[v.ID] = v, true
-				r.indexAdd(g, v)
+				r.indexAdd(g, v, v.Left.ID)
 			}
 			idx := g.idx
 			for _, q := range nodes {

@@ -623,16 +623,17 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 	g.depPos = make([]int32, capIDs)
 	g.recs = make([]candRec, capIDs)
 	// Row and dependent-list slabs: one contiguous carve per sink (merge
-	// nodes recycle freed rows first), three-index capped so append growth
-	// reallocates off-slab instead of aliasing a neighbor.
-	g.rowSlab = make([]memoEntry, len(sinks)*memoRowInit)
-	g.depSlab = make([]int32, len(sinks)*depInit)
+	// nodes inherit a dying node's), zero-length and three-index capped so
+	// append growth reallocates off-slab instead of aliasing a neighbor.
+	rowSlab := make([]memoEntry, len(sinks)*memoRowInit)
+	depSlab := make([]int32, len(sinks)*depInit)
 	g.scratch = make([]searchScratch, max(r.workers, 1))
 	g.gridScr = &spatialScratch{}
-	for _, n := range sinks {
+	for i, n := range sinks {
 		r.indexRegister(g, n)
-		g.assignRow(n.ID)
-		g.assignDeps(n.ID)
+		row, dep := i*memoRowInit, i*depInit
+		g.rows[n.ID] = rowSlab[row : row : row+memoRowInit]
+		g.deps[n.ID] = depSlab[dep : dep : dep+depInit]
 	}
 	g.buildGrid()
 }
@@ -680,13 +681,15 @@ func (r *router) indexRegister(g *greedyState, n *topology.Node) {
 	g.recs[n.ID] = rec
 }
 
-// indexAdd registers a fresh merge node and enters it into the live grid
-// with its pooled memo and reverse-dependent rows. Serial sections only.
-func (r *router) indexAdd(g *greedyState, n *topology.Node) {
+// indexAdd registers a fresh merge node and enters it into the live grid.
+// The node inherits the memo row and reverse-dependent list of donor, one
+// of the pair it replaces, emptied: a merge kills two nodes and creates
+// one, so no merge allocates either. Serial sections only.
+func (r *router) indexAdd(g *greedyState, n *topology.Node, donor int) {
 	r.indexRegister(g, n)
 	g.idx.insert(g.recs[n.ID])
-	g.assignRow(n.ID)
-	g.assignDeps(n.ID)
+	g.rows[n.ID], g.rows[donor] = g.rows[donor][:0], nil
+	g.deps[n.ID], g.deps[donor] = g.deps[donor][:0], nil
 }
 
 // buildGrid builds a fresh grid over the bounding box of every alive

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"repro/internal/core"
-	"repro/internal/lru"
 	"repro/internal/power"
+	"repro/internal/sieve"
 )
 
 // RouteResult is the cacheable outcome of one routing execution: the
@@ -18,8 +18,9 @@ type RouteResult struct {
 	RouteMs    float64 // wall time of the original construction
 }
 
-// resultCache is the digest-keyed LRU of RouteResults (internal/lru).
-type resultCache = lru.Cache[string, *RouteResult]
+// resultCache is the digest-keyed SIEVE cache of RouteResults
+// (internal/sieve).
+type resultCache = sieve.Cache[string, *RouteResult]
 
 // cacheEntry is the snapshot-format view of one cache entry.
 type cacheEntry struct {
@@ -27,11 +28,11 @@ type cacheEntry struct {
 	res    *RouteResult
 }
 
-// entriesColdToHot copies the cache in eviction order (least → most
-// recently used), the order a snapshot replays through Add so the restored
-// cache reproduces the original recency list exactly.
-func entriesColdToHot(c *resultCache) []cacheEntry {
-	raw := c.EntriesColdToHot()
+// entriesOldestFirst copies the cache in queue order, oldest → newest,
+// the order a snapshot replays through Add so the restored cache rebuilds
+// the original queue with every visited bit cleared.
+func entriesOldestFirst(c *resultCache) []cacheEntry {
+	raw := c.EntriesOldestFirst()
 	out := make([]cacheEntry, len(raw))
 	for i, e := range raw {
 		out[i] = cacheEntry{digest: e.Key, res: e.Value}

@@ -29,7 +29,7 @@ type RouteResponse struct {
 	// bit-identical across cache hits, coalesced joins and re-executions
 	// of the same request.
 	TreeDigest string `json:"treeDigest"`
-	// Cached reports an LRU hit; Coalesced reports a join onto an
+	// Cached reports a result-cache hit; Coalesced reports a join onto an
 	// identical in-flight execution.
 	Cached    bool `json:"cached"`
 	Coalesced bool `json:"coalesced"`
@@ -185,8 +185,8 @@ type CacheEntryResponse struct {
 // hit returns the stored result, a miss is a plain 404. This is the
 // shard-side half of the cluster's peer fetch — after a rebalance the new
 // owner's front tier asks the old owner's cache for the result by digest
-// before paying for a recompute. Peeking refreshes recency: a peer-fetched
-// entry is demonstrably hot.
+// before paying for a recompute. Peeking marks the entry visited, as any
+// hit does: a peer-fetched entry is demonstrably hot.
 func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !isHexDigest(digest) {

@@ -2,7 +2,7 @@
 // service: an HTTP JSON API backed by a fixed worker pool, a bounded
 // admission queue with explicit backpressure and load shedding, a
 // singleflight coalescer that deduplicates concurrently in-flight identical
-// requests, and an LRU result cache. Requests are keyed by a canonical
+// requests, and a SIEVE result cache. Requests are keyed by a canonical
 // SHA-256 digest covering the benchmark (or synthesis config), the
 // instruction stream, the technology parameters and every result-affecting
 // routing option, so repeated identical work — the k-controller sweeps of

@@ -13,8 +13,8 @@ import (
 
 	gatedclock "repro"
 	"repro/internal/bench"
-	"repro/internal/lru"
 	"repro/internal/obs"
+	"repro/internal/sieve"
 	"repro/internal/verify"
 )
 
@@ -34,8 +34,8 @@ type Config struct {
 	// interactive traffic (0 = QueueDepth/2; negative disables early
 	// shedding).
 	ShedWatermark int
-	// CacheSize is the LRU result-cache capacity in entries (0 = 128;
-	// negative disables caching).
+	// CacheSize is the result cache's capacity in entries, evicted by
+	// SIEVE (0 = 128; negative disables caching).
 	CacheSize int
 	// MaxTimeout caps every request's routing deadline; requests may ask
 	// for less via timeoutMs but never more (0 = 2m).
@@ -186,7 +186,7 @@ func newInstruments(r *obs.Registry) *instruments {
 	msBuckets := obs.ExpBuckets(0.25, 2, 18) // 0.25 ms … ~32 s
 	return &instruments{
 		requests:     r.Counter("serve_requests_total", "route requests received (including batch items)"),
-		hits:         r.Counter("serve_cache_hits_total", "requests answered from the LRU result cache"),
+		hits:         r.Counter("serve_cache_hits_total", "requests answered from the result cache"),
 		misses:       r.Counter("serve_cache_misses_total", "requests that led a fresh routing execution"),
 		coalesced:    r.Counter("serve_coalesced_total", "requests that joined an identical in-flight execution"),
 		shed:         r.Counter("serve_shed_total", "requests shed with 429 (queue full or watermark)"),
@@ -198,11 +198,11 @@ func newInstruments(r *obs.Registry) *instruments {
 		snapSaves:    r.Counter("serve_snapshot_saves_total", "cache snapshots written (periodic + on-drain)"),
 		snapLoaded:   r.Counter("serve_snapshot_loaded_total", "cache entries restored from the start-time snapshot"),
 		snapRejects:  r.Counter("serve_snapshot_rejected_total", "snapshot entries discarded by load-time verification"),
-		peekHits:     r.Counter("serve_cache_peek_hits_total", "cache-by-digest lookups (peer fetches) answered from the LRU"),
+		peekHits:     r.Counter("serve_cache_peek_hits_total", "cache-by-digest lookups (peer fetches) answered from the result cache"),
 		peekMisses:   r.Counter("serve_cache_peek_misses_total", "cache-by-digest lookups that found nothing"),
 		depth:        r.Gauge("serve_queue_depth", "admission-queue occupancy"),
 		inflight:     r.Gauge("serve_inflight", "routing executions currently running"),
-		cacheEntries: r.Gauge("serve_cache_entries", "LRU result-cache occupancy"),
+		cacheEntries: r.Gauge("serve_cache_entries", "result-cache occupancy"),
 		queueWaitMs:  r.Histogram("serve_queue_wait_ms", "time from admission to worker pickup (ms)", msBuckets),
 		routeMs:      r.Histogram("serve_route_ms", "routing execution wall time (ms)", msBuckets),
 	}
@@ -219,7 +219,7 @@ func New(cfg Config) *Server {
 		queue:     make(chan *job, cfg.QueueDepth),
 		stop:      make(chan struct{}),
 		flight:    make(map[string]*call),
-		cache:     lru.New[string, *RouteResult](cfg.CacheSize),
+		cache:     sieve.New[string, *RouteResult](cfg.CacheSize),
 		inst:      newInstruments(cfg.Metrics),
 		chaos:     newChaosInjector(cfg.Chaos, cfg.Metrics),
 		startedAt: time.Now(),

@@ -525,8 +525,8 @@ func TestBatch(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: the LRU holds at most CacheSize entries and evicts
-// the coldest.
+// TestCacheEviction: the cache holds at most CacheSize entries and evicts
+// the oldest unvisited one.
 func TestCacheEviction(t *testing.T) {
 	s := New(Config{Workers: 1, CacheSize: 2, route: fakeRoute})
 	defer shutdownOrFail(t, s)

@@ -165,7 +165,7 @@ func (s *Server) SaveSnapshot() error {
 	if path == "" {
 		return fmt.Errorf("serve: no snapshot path configured")
 	}
-	data, err := encodeSnapshot(entriesColdToHot(s.cache))
+	data, err := encodeSnapshot(entriesOldestFirst(s.cache))
 	if err != nil {
 		return fmt.Errorf("serve: encode snapshot: %w", err)
 	}
