@@ -22,11 +22,10 @@ func TestRouteAllocationCeiling(t *testing.T) {
 		allocsCeil float64 // allocations per Route
 		bytesCeil  float64 // heap bytes per Route
 	}{
-		// Measured post-arena steady state: ≈2.1k allocs / 2.4 MB at
-		// N=1024 and ≈7.4k allocs / 9.3 MB at N=4096 (down from ≈13.6k
-		// allocs at N=1024 before the slab arenas).
-		{sinks: 1024, allocsCeil: 3200, bytesCeil: 3.6e6},
-		{sinks: 4096, allocsCeil: 11000, bytesCeil: 14e6},
+		// Measured steady state: ≈1.6k allocs / 1.84 MB at N=1024 and
+		// ≈5.8k allocs / 7.15 MB at N=4096.
+		{sinks: 1024, allocsCeil: 2400, bytesCeil: 2.8e6},
+		{sinks: 4096, allocsCeil: 8700, bytesCeil: 10.8e6},
 	}
 	for i := range cases {
 		c := &cases[i]

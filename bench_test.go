@@ -219,7 +219,7 @@ func BenchmarkZeroSkewMerge(b *testing.B) {
 	c := dme.Branch{MS: geom.FromPoint(geom.Pt(900, 400)), Delay: 95, Cap: 60}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := dme.ZeroSkewMerge(p, a, c); err != nil {
+		if _, err := dme.BoundedSkewMerge(p, a, c, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,19 +5,24 @@
 // With -chaos it runs the node drill: a seeded schedule of injected worker
 // panics, 5xx errors and latency against the real routing pipeline, a
 // kill/drain window that drives the resilient client's circuit breaker
-// open, and one snapshot/restart cycle (the BENCH_chaos.json record).
+// open, and one snapshot/restart cycle. The checked-in BENCH_chaos.json
+// is the reviewed record of this run, re-recorded on purpose; `make
+// chaos-smoke` writes bin/BENCH_chaos.json instead, since the counts vary
+// from run to run.
 //
 // With -cluster it runs the cluster drill: a consistent-hash front tier
 // over N shard backends (in-process by default; gcrd subprocesses over
 // loopback with -gcrd) through a healthy phase, a kill-one-shard phase
 // that must lose no client-visible request, and a warm-restart recovery
-// phase (the BENCH_cluster.json record).
+// phase. The checked-in BENCH_cluster.json is the reviewed record of this
+// run with two gcrd subprocesses, re-recorded on purpose; `make
+// cluster-smoke` writes bin/BENCH_cluster.json instead.
 //
 // Usage:
 //
-//	go run ./examples/loadclient -chaos -n 300 -json BENCH_chaos.json
+//	go run ./examples/loadclient -chaos -n 300 -json bin/BENCH_chaos.json
 //	go run ./examples/loadclient -cluster -shards 3 -n 400
-//	go run ./examples/loadclient -cluster -shards 2 -gcrd bin/gcrd -n 300 -c 4 -json BENCH_cluster.json
+//	go run ./examples/loadclient -cluster -shards 2 -gcrd bin/gcrd -n 300 -c 4 -json bin/BENCH_cluster.json
 package main
 
 import (

@@ -37,49 +37,24 @@ import (
 // when two subtrees merge.
 type InstrSet = isa.Bitset
 
-// Profile holds the tables extracted from one stream scan, plus derived
-// tables that let the router query the algebra incrementally (see Handle).
+// Profile holds the tables extracted from one stream scan. P(EN) and
+// Ptr(EN) of any instruction set are sums over them (SignalProb,
+// TransProb); nothing is rescanned.
 type Profile struct {
 	ISA    *isa.Description
 	Cycles int
 
-	freq []float64   // IFT: freq[k] = P(I_k)
-	pair [][]float64 // ITMAT: pair[a][b] = P(instr a followed by instr b)
-
-	// Derived, built once by finalize():
-	rc       []float64   // rc[a] = Σ_b pair[a][b] + Σ_b pair[b][a] (row+col sum)
-	sym      [][]float64 // sym[a][b] = pair[a][b] + pair[b][a]
-	wordFreq []float64   // wordFreq[w] = Σ freq over instructions in word w
+	freq     []float64   // IFT: freq[k] = P(I_k)
+	pair     [][]float64 // ITMAT: pair[a][b] = P(instr a followed by instr b)
 	tailMask uint64      // valid-bit mask of the last bitset word
 }
 
-// finalize builds the derived tables used by the incremental Ptr algebra:
-// rc feeds the linear term L(S), sym feeds the quadratic self-term Q(S),
-// and wordFreq holds per-word frequency partial sums so P of a saturated
-// word is one add. Called by every constructor.
+// finalize sets tailMask, which TransProb uses to complement the last
+// word of a set. Called by every constructor.
 func (p *Profile) finalize() {
-	k := p.ISA.NumInstr()
 	p.tailMask = ^uint64(0)
-	if r := k % 64; r != 0 {
+	if r := p.ISA.NumInstr() % 64; r != 0 {
 		p.tailMask = 1<<uint(r) - 1
-	}
-	p.rc = make([]float64, k)
-	p.sym = make([][]float64, k)
-	for a := 0; a < k; a++ {
-		p.sym[a] = make([]float64, k)
-	}
-	for a := 0; a < k; a++ {
-		rs, cs := 0.0, 0.0
-		for b := 0; b < k; b++ {
-			rs += p.pair[a][b]
-			cs += p.pair[b][a]
-			p.sym[a][b] = p.pair[a][b] + p.pair[b][a]
-		}
-		p.rc[a] = rs + cs
-	}
-	p.wordFreq = make([]float64, (k+63)/64)
-	for i := 0; i < k; i++ {
-		p.wordFreq[i/64] += p.freq[i]
 	}
 }
 
@@ -186,12 +161,10 @@ func (p *Profile) SetForModule(m int) InstrSet {
 	return s
 }
 
-// Union returns a ∪ b as a fresh set — the InstrSet of a merged subtree.
-func Union(a, b InstrSet) InstrSet {
-	c := a.Clone()
-	c.Or(b)
-	return c
-}
+// SetWords returns the number of uint64 words an instruction bitset of
+// this profile occupies — the stride of a slab that holds one InstrSet
+// per tree node.
+func (p *Profile) SetWords() int { return (p.ISA.NumInstr() + 63) / 64 }
 
 // SignalProb returns P(EN) for a subtree with instruction set s:
 // the summed IFT frequency of the instructions in s (Equation 2). O(K).
@@ -394,149 +367,4 @@ func (p *Profile) CheckConsistency(s stream.Stream, modules []int, tol float64) 
 		return fmt.Errorf("activity: Ptr mismatch for %v: table %v, brute %v", modules, got, want)
 	}
 	return nil
-}
-
-// --- Incremental activity algebra ---
-//
-// Ptr(S) admits a decomposition that turns the O(K²) ITMAT sum into state
-// maintainable under set growth. With L(S) = Σ_{a∈S} (rowSum[a]+colSum[a])
-// and the quadratic self-term Q(S) = Σ_{a,b∈S} pair[a][b],
-//
-//	Ptr(S) = L(S) − 2·Q(S),
-//
-// because the full row+col sum of each a ∈ S counts every (in, out) and
-// (out, in) boundary pair once, overcounting the (in, in) pairs by exactly
-// twice their mass. Folding one instruction d into S costs O(|S|):
-//
-//	Q(S∪{d}) = Q(S) + pair[d][d] + Σ_{x∈S} (pair[x][d] + pair[d][x]),
-//
-// so Ptr(A∪B) from A's state costs O(K·|B\A|) instead of O(K²).
-
-// Handle carries the incrementally-maintained activity state of one
-// instruction set: P(S), L(S) and Q(S). The router keeps one per tree node
-// and derives union handles at merges. Callers must not mutate Set.
-type Handle struct {
-	Set InstrSet
-
-	prob  float64 // P(S)
-	lin   float64 // L(S)
-	quad  float64 // Q(S)
-	count int     // |S|
-}
-
-// P returns the signal probability of the handle's set in O(1).
-func (h *Handle) P() float64 { return h.prob }
-
-// Ptr returns the transition probability of the handle's set in O(1).
-// The value agrees with TransProb up to floating-point rounding (the
-// additions associate differently); canonical reported figures still come
-// from TransProb.
-func (h *Handle) Ptr() float64 { return h.lin - 2*h.quad }
-
-// Count returns the number of instructions in the set.
-func (h *Handle) Count() int { return h.count }
-
-// handleAdd folds instruction d into h, assuming d ∉ h.Set. O(|S|) via the
-// precomputed sym table.
-func (p *Profile) handleAdd(h *Handle, d int) {
-	h.prob += p.freq[d]
-	h.lin += p.rc[d]
-	q := p.pair[d][d]
-	symRow := p.sym[d]
-	for w, word := range h.Set {
-		base := w << 6
-		for ; word != 0; word &= word - 1 {
-			q += symRow[base+bits.TrailingZeros64(word)]
-		}
-	}
-	h.quad += q
-	h.Set.Set(d)
-	h.count++
-}
-
-// SetWords returns the number of uint64 words an instruction bitset of
-// this profile occupies — the backing-buffer stride callers of the *Into
-// constructors must slab-allocate per handle.
-func (p *Profile) SetWords() int { return (p.ISA.NumInstr() + 63) / 64 }
-
-// NewHandle builds the activity handle of set s from scratch. Saturated
-// words contribute their probability via the precomputed per-word frequency
-// partial sums; L and Q accumulate per set bit. O(K·|S|).
-func (p *Profile) NewHandle(s InstrSet) *Handle {
-	h := &Handle{}
-	p.NewHandleInto(h, isa.NewBitset(p.ISA.NumInstr()), s)
-	return h
-}
-
-// NewHandleInto is NewHandle without the allocations: the handle is built
-// in place in dst, whose set is backed by buf (len ≥ SetWords, ownership
-// transfers to dst). Every accumulated float matches NewHandle bit for bit
-// — same extension order, same partial sums.
-func (p *Profile) NewHandleInto(dst *Handle, buf isa.Bitset, s InstrSet) {
-	buf = buf[:p.SetWords()]
-	for i := range buf {
-		buf[i] = 0
-	}
-	*dst = Handle{Set: buf}
-	last := len(s) - 1
-	for w, word := range s {
-		full := ^uint64(0)
-		if w == last {
-			full = p.tailMask
-		}
-		probBefore := dst.prob
-		base := w << 6
-		for bw := word; bw != 0; bw &= bw - 1 {
-			p.handleAdd(dst, base+bits.TrailingZeros64(bw))
-		}
-		if word == full && word != 0 {
-			dst.prob = probBefore + p.wordFreq[w]
-		}
-	}
-}
-
-// UnionHandle returns the handle of a.Set ∪ b.Set by extending the larger
-// handle with the instructions only the smaller one has — O(K·Δ) where Δ
-// is the number of added instructions. The inputs are not modified.
-func (p *Profile) UnionHandle(a, b *Handle) *Handle {
-	h := &Handle{}
-	p.UnionHandleInto(h, isa.NewBitset(p.ISA.NumInstr()), a, b)
-	return h
-}
-
-// UnionHandleInto is UnionHandle without the two allocations: the union
-// handle is built in place in dst, whose set is backed by buf (len ≥
-// SetWords; must not alias a's or b's set; ownership transfers to dst).
-// The extension order is identical to UnionHandle's, so every float in dst
-// is bit-identical to what UnionHandle would return.
-func (p *Profile) UnionHandleInto(dst *Handle, buf isa.Bitset, a, b *Handle) {
-	base, other := a, b
-	if other.count > base.count {
-		base, other = other, base
-	}
-	buf = buf[:p.SetWords()]
-	copy(buf, base.Set)
-	for i := len(base.Set); i < len(buf); i++ {
-		buf[i] = 0
-	}
-	*dst = Handle{
-		Set:   buf,
-		prob:  base.prob,
-		lin:   base.lin,
-		quad:  base.quad,
-		count: base.count,
-	}
-	for w, word := range other.Set {
-		word &^= base.Set[w]
-		wbase := w << 6
-		for ; word != 0; word &= word - 1 {
-			p.handleAdd(dst, wbase+bits.TrailingZeros64(word))
-		}
-	}
-}
-
-// TransProbUnion returns Ptr(a.Set ∪ b.Set) in O(K·Δ) via the incremental
-// algebra, without the caller having to materialize the union.
-func (p *Profile) TransProbUnion(a, b *Handle) float64 {
-	return p.UnionHandle(a, b).Ptr()
 }

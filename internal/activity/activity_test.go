@@ -170,7 +170,8 @@ func TestUnionMonotonicity(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := p.SetForModule(rng.IntN(30))
 		b := p.SetForModule(rng.IntN(30))
-		u := Union(a, b)
+		u := a.Clone()
+		u.Or(b)
 		pa, pb, pu := p.SignalProb(a), p.SignalProb(b), p.SignalProb(u)
 		if pu < math.Max(pa, pb)-1e-12 {
 			t.Fatalf("P not monotone: P(a)=%v P(b)=%v P(a∪b)=%v", pa, pb, pu)

@@ -9,11 +9,10 @@ import (
 	"repro/internal/stream"
 )
 
-// Differential tests for the word-parallel kernels and the incremental
-// handle algebra: the optimized SignalProb/TransProb must equal scalar
-// per-bit evaluation bit-for-bit, agree with brute-force stream scans
-// within sampling tolerance, and the O(K·Δ) TransProbUnion must agree
-// with TransProb on the materialized union.
+// Differential tests for the word-parallel kernels: the optimized
+// SignalProb, SignalProbUnion and TransProb must equal scalar per-bit
+// evaluation bit-for-bit and agree with brute-force stream scans within
+// sampling tolerance.
 
 // scalarSignalProb is the original per-bit loop, kept as the bit-exact
 // oracle for the word-parallel SignalProb.
@@ -143,69 +142,6 @@ func TestOptimizedKernelsMatchBruteForce(t *testing.T) {
 		}
 		if got, want := p.TransProb(set), BruteTransProb(p.ISA, s, mask); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("Ptr mismatch for modules %v: table %v, brute %v", mods, got, want)
-		}
-	}
-}
-
-// TestHandleAlgebra checks the incremental decomposition Ptr = L − 2Q:
-// handles built from scratch, grown by unions, and queried through
-// TransProbUnion must all agree with the direct O(K²) TransProb. The
-// additions associate differently, so agreement is to analytic tolerance,
-// not bit equality.
-func TestHandleAlgebra(t *testing.T) {
-	for _, numInstr := range []int{16, 80} {
-		p, _ := randomProfile(t, uint64(100+numInstr), numInstr)
-		rng := rand.New(rand.NewPCG(13, uint64(numInstr)))
-		const tol = 1e-12
-		for trial := 0; trial < 100; trial++ {
-			a := randomSet(rng, numInstr, 0.3)
-			b := randomSet(rng, numInstr, 0.3)
-			ha, hb := p.NewHandle(a), p.NewHandle(b)
-			if got, want := ha.P(), p.SignalProb(a); math.Abs(got-want) > tol {
-				t.Fatalf("K=%d: handle P %v, SignalProb %v", numInstr, got, want)
-			}
-			if got, want := ha.Ptr(), p.TransProb(a); math.Abs(got-want) > tol {
-				t.Fatalf("K=%d: handle Ptr %v, TransProb %v", numInstr, got, want)
-			}
-			if got, want := ha.Count(), a.Count(); got != want {
-				t.Fatalf("K=%d: handle count %d, set count %d", numInstr, got, want)
-			}
-			u := Union(a, b)
-			hu := p.UnionHandle(ha, hb)
-			if got, want := hu.Ptr(), p.TransProb(u); math.Abs(got-want) > tol {
-				t.Fatalf("K=%d: union handle Ptr %v, TransProb %v", numInstr, got, want)
-			}
-			if got, want := hu.P(), p.SignalProb(u); math.Abs(got-want) > tol {
-				t.Fatalf("K=%d: union handle P %v, SignalProb %v", numInstr, got, want)
-			}
-			if got, want := p.TransProbUnion(ha, hb), p.TransProb(u); math.Abs(got-want) > tol {
-				t.Fatalf("K=%d: TransProbUnion %v, TransProb %v", numInstr, got, want)
-			}
-			// UnionHandle must not mutate its inputs.
-			if ha.Ptr() != p.NewHandle(a).Ptr() || hb.Count() != b.Count() {
-				t.Fatalf("K=%d: UnionHandle mutated an input handle", numInstr)
-			}
-		}
-	}
-}
-
-// TestHandleChainedUnions grows one handle through a long chain of unions,
-// mimicking a routing run's bottom-up merges, and checks the accumulated
-// state never drifts from the direct evaluation.
-func TestHandleChainedUnions(t *testing.T) {
-	p, _ := randomProfile(t, 42, 32)
-	rng := rand.New(rand.NewPCG(17, 0))
-	acc := p.NewHandle(randomSet(rng, 32, 0.1))
-	cur := acc.Set.Clone()
-	for step := 0; step < 60; step++ {
-		next := p.NewHandle(randomSet(rng, 32, 0.1))
-		acc = p.UnionHandle(acc, next)
-		cur.Or(next.Set)
-		if got, want := acc.Ptr(), p.TransProb(cur); math.Abs(got-want) > 1e-11 {
-			t.Fatalf("step %d: chained handle Ptr %v, direct %v", step, got, want)
-		}
-		if got, want := acc.P(), p.SignalProb(cur); math.Abs(got-want) > 1e-11 {
-			t.Fatalf("step %d: chained handle P %v, direct %v", step, got, want)
 		}
 	}
 }

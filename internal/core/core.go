@@ -416,17 +416,16 @@ type router struct {
 	workers   int
 
 	// Arenas of the construction. Every run of the greedy performs exactly
-	// n−1 merges, each creating one Node and (with a profile) one activity
-	// Handle over one bitset of actWords words, so all three are carved
-	// from backing arrays sized up front in makeSinks. Arena slots are
-	// tree-resident — the tree outlives the router, and so do the arrays.
-	// If an arena ever runs dry (a schedule that merges more than n−1
-	// times would be a bug elsewhere), carving falls back to the heap
-	// rather than reallocating and invalidating handed-out pointers.
-	nodeArena   []topology.Node
-	handleArena []activity.Handle
-	wordArena   []uint64
-	actWords    int
+	// n−1 merges, each creating one Node and (with a profile) one InstrSet
+	// of actWords words, so both are carved from backing arrays sized up
+	// front in makeSinks. Arena slots are tree-resident — the tree
+	// outlives the router, and so do the arrays. If an arena ever runs dry
+	// (a schedule that merges more than n−1 times would be a bug
+	// elsewhere), carving falls back to the heap rather than reallocating
+	// and invalidating handed-out pointers.
+	nodeArena []topology.Node
+	wordArena []uint64
+	actWords  int
 
 	nextID      int
 	stats       Stats
@@ -687,15 +686,14 @@ func locsOf(nodes []*topology.Node) []geom.Point {
 func (r *router) makeSinks() []*topology.Node {
 	n := len(r.in.SinkLocs)
 	// One backing array for all 2n−1 nodes of the tree (n sinks + n−1
-	// merges) and, when a profile is attached, for all their activity
-	// handles and bitset words. The slabs live exactly as long as the tree
+	// merges) and, when a profile is attached, one for the instruction
+	// sets of the n−1 merges. The slabs live exactly as long as the tree
 	// that points into them.
 	slab := make([]topology.Node, n, 2*n-1)
 	nodes := make([]*topology.Node, n)
 	if p := r.in.Profile; p != nil {
 		r.actWords = p.SetWords()
-		r.handleArena = make([]activity.Handle, 0, 2*n-1)
-		r.wordArena = make([]uint64, 0, (2*n-1)*r.actWords)
+		r.wordArena = make([]uint64, 0, (n-1)*r.actWords)
 	}
 	for i, loc := range r.in.SinkLocs {
 		slab[i] = topology.MakeSink(i, i, loc, r.in.SinkCaps[i])
@@ -704,8 +702,6 @@ func (r *router) makeSinks() []*topology.Node {
 			node.Instr = p.SetForModule(i)
 			node.P = p.SignalProb(node.Instr)
 			node.Ptr = p.TransProb(node.Instr)
-			node.Act = r.carveHandle()
-			p.NewHandleInto(node.Act, r.carveWords(), node.Instr)
 		}
 		nodes[i] = node
 	}
@@ -725,19 +721,10 @@ func (r *router) carveNode() *topology.Node {
 	return &topology.Node{}
 }
 
-// carveHandle returns a fresh Handle slot, falling back to the heap when
-// the arena is dry (same aliasing argument as carveNode).
-func (r *router) carveHandle() *activity.Handle {
-	if len(r.handleArena) < cap(r.handleArena) {
-		r.handleArena = r.handleArena[:len(r.handleArena)+1]
-		return &r.handleArena[len(r.handleArena)-1]
-	}
-	return &activity.Handle{}
-}
-
 // carveWords returns an actWords-long bitset buffer from the word arena,
-// or a fresh one when the arena is dry.
-func (r *router) carveWords() []uint64 {
+// or a fresh one when the arena is dry (same aliasing argument as
+// carveNode).
+func (r *router) carveWords() activity.InstrSet {
 	if len(r.wordArena)+r.actWords <= cap(r.wordArena) {
 		off := len(r.wordArena)
 		r.wordArena = r.wordArena[:off+r.actWords]
@@ -864,11 +851,10 @@ func (r *router) merge(a, b *topology.Node) (*topology.Node, error) {
 	}
 	parentP := 1.0
 	var parentSet activity.InstrSet
-	var parentAct *activity.Handle
 	if p := r.in.Profile; p != nil {
-		parentAct = r.carveHandle()
-		p.UnionHandleInto(parentAct, r.carveWords(), a.Act, b.Act)
-		parentSet = parentAct.Set
+		parentSet = r.carveWords()
+		copy(parentSet, a.Instr)
+		parentSet.Or(b.Instr)
 		parentP = p.SignalProb(parentSet)
 	}
 	da, db, ga, gb := r.decideDrivers(a, b, parentP)
@@ -899,7 +885,6 @@ func (r *router) merge(a, b *topology.Node) (*topology.Node, error) {
 	r.nextID++
 	if p := r.in.Profile; p != nil {
 		k.Ptr = p.TransProb(parentSet)
-		k.Act = parentAct
 	}
 	a.Parent, b.Parent = k, k
 	a.EdgeLen, b.EdgeLen = m.LenA, m.LenB

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/activity"
@@ -172,30 +173,68 @@ func TestReductionKeepsFewerGates(t *testing.T) {
 	}
 }
 
-// TestActivityPropagation: every internal node's enable probability must be
-// at least the max of its children's (OR of enables) and its instruction
-// set the union.
+// TestActivityPropagation pins the activity contract on every schedule: a
+// sink's instruction set is its module's, an internal node's is the
+// word-wise OR of its children's, every node's P and Ptr are SignalProb
+// and TransProb of its own set bit for bit, and no enable is less likely
+// than a child's. The K=80 instance spans two bitset words.
 func TestActivityPropagation(t *testing.T) {
-	in := makeInstance(t, 30, 6)
-	tree, _, err := Route(in, Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree})
-	if err != nil {
-		t.Fatal(err)
+	p := tech.Default()
+	modes := []struct {
+		name string
+		opts Options
+	}{
+		{"min-switched-cap/all", Options{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree, Policy: gating.All{}}},
+		{"min-switched-cap/reduced", Options{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree}},
+		{"min-clock-cap", Options{Tech: p, Method: MinClockCapOnly, Drivers: GatedTree}},
+		{"greedy-distance", Options{Tech: p, Method: GreedyDistance, Drivers: GatedTree}},
+		{"activity-driven", Options{Tech: p, Method: ActivityDriven, Drivers: GatedTree}},
+		{"nearest-neighbor", Options{Tech: p, Method: NearestNeighbor, Drivers: GatedTree}},
+		{"means-and-medians", Options{Tech: p, Method: MeansAndMedians, Drivers: GatedTree}},
+		{"buffered", Options{Tech: p, Method: NearestNeighbor, Drivers: BufferedTree}},
 	}
-	tree.Root.PreOrder(func(n *topology.Node) {
-		if n.IsSink() {
-			return
+	instances := []struct {
+		name string
+		in   *Instance
+	}{
+		{"n=30", makeInstance(t, 30, 6)},
+		{"n=300", makeInstance(t, 300, 7)},
+		{"n=300,k=80", placedInstance(t, "uniform", 300, 80, 5)},
+	}
+	for _, inst := range instances {
+		prof := inst.in.Profile
+		for _, m := range modes {
+			t.Run(inst.name+"/"+m.name, func(t *testing.T) {
+				tree, _, err := Route(inst.in, m.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree.Root.PostOrder(func(n *topology.Node) {
+					var want activity.InstrSet
+					if n.IsSink() {
+						want = prof.SetForModule(n.SinkIndex)
+					} else {
+						want = make(activity.InstrSet, prof.SetWords())
+						for i := range want {
+							want[i] = n.Left.Instr[i] | n.Right.Instr[i]
+						}
+						if n.P < math.Max(n.Left.P, n.Right.P)-1e-12 {
+							t.Errorf("node %d: P %v below children (%v, %v)", n.ID, n.P, n.Left.P, n.Right.P)
+						}
+					}
+					if !slices.Equal(n.Instr, want) {
+						t.Errorf("node %d: instruction set %x, want %x", n.ID, n.Instr, want)
+					}
+					if got := prof.SignalProb(n.Instr); n.P != got {
+						t.Errorf("node %d: P %v, SignalProb %v", n.ID, n.P, got)
+					}
+					if got := prof.TransProb(n.Instr); n.Ptr != got {
+						t.Errorf("node %d: Ptr %v, TransProb %v", n.ID, n.Ptr, got)
+					}
+				})
+			})
 		}
-		if n.P < math.Max(n.Left.P, n.Right.P)-1e-12 {
-			t.Errorf("node %d: P %v below children (%v, %v)", n.ID, n.P, n.Left.P, n.Right.P)
-		}
-		union := activity.Union(n.Left.Instr, n.Right.Instr)
-		for i := range union {
-			if union[i] != n.Instr[i] {
-				t.Errorf("node %d: instruction set is not the union", n.ID)
-				break
-			}
-		}
-	})
+	}
 }
 
 // TestAttachCapConsistency re-derives AttachCap from the finished tree.

@@ -78,12 +78,6 @@ func branchCap(p tech.Params, br Branch, l float64) float64 {
 	return p.WireCapPerLambda*l + br.Cap
 }
 
-// ZeroSkewMerge computes the exact zero-skew merge of branches a and b
-// under technology p (a skew budget of zero).
-func ZeroSkewMerge(p tech.Params, a, b Branch) (Merge, error) {
-	return BoundedSkewMerge(p, a, b, 0)
-}
-
 // BoundedSkewMerge merges two branches while keeping the merged subtree's
 // delay spread (max − min sink delay) within the given budget. The
 // max-delays of the two branches are balanced exactly when the tapping
@@ -228,27 +222,4 @@ func Embed(t *topology.Tree) {
 			n.Loc = n.MS.Nearest(n.Parent.Loc)
 		}
 	})
-}
-
-// CheckEmbedding verifies that every embedded location is geometrically
-// consistent: each node sits on its merging segment and within its edge
-// length of its parent.
-func CheckEmbedding(t *topology.Tree) error {
-	var err error
-	t.Root.PreOrder(func(n *topology.Node) {
-		if err != nil {
-			return
-		}
-		if !n.MS.Contains(n.Loc, 1e-6) {
-			err = fmt.Errorf("dme: node %d embedded off its merging segment", n.ID)
-			return
-		}
-		if n.Parent != nil {
-			if d := geom.Dist(n.Loc, n.Parent.Loc); d > n.EdgeLen+1e-6 {
-				err = fmt.Errorf("dme: node %d at distance %v from parent but edge length %v",
-					n.ID, d, n.EdgeLen)
-			}
-		}
-	})
-	return err
 }

@@ -1,6 +1,7 @@
 package dme
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -29,7 +30,7 @@ func TestSymmetricMerge(t *testing.T) {
 	p := tech.Default()
 	a := sinkBranch(0, 0, 20)
 	b := sinkBranch(10, 0, 20)
-	m, err := ZeroSkewMerge(p, a, b)
+	m, err := BoundedSkewMerge(p, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestAsymmetricCapsShiftTapPoint(t *testing.T) {
 	p := tech.Default()
 	a := sinkBranch(0, 0, 200) // heavy sink
 	b := sinkBranch(10, 0, 5)  // light sink
-	m, err := ZeroSkewMerge(p, a, b)
+	m, err := BoundedSkewMerge(p, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestSnakingWhenBranchTooSlow(t *testing.T) {
 	a := sinkBranch(0, 0, 20)
 	a.Delay = 5000 // branch a is far slower than 10 λ of wire can compensate
 	b := sinkBranch(10, 0, 20)
-	m, err := ZeroSkewMerge(p, a, b)
+	m, err := BoundedSkewMerge(p, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSnakingWhenBranchTooSlow(t *testing.T) {
 		t.Errorf("snaked merge unbalanced: %v vs %v", ta, tb)
 	}
 	// Mirror image: the other branch slow.
-	m2, err := ZeroSkewMerge(p, b, a)
+	m2, err := BoundedSkewMerge(p, b, a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestCoincidentZeroCapMerge(t *testing.T) {
 	a := sinkBranch(5, 5, 0)
 	b := sinkBranch(5, 5, 0)
 	b.Delay = 100
-	m, err := ZeroSkewMerge(p, a, b)
+	m, err := BoundedSkewMerge(p, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestMergeWithDrivers(t *testing.T) {
 			a.Driver = tc.da
 			b := sinkBranch(120, 40, 15)
 			b.Driver = tc.db
-			m, err := ZeroSkewMerge(p, a, b)
+			m, err := BoundedSkewMerge(p, a, b, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +187,7 @@ func TestMergeProperty(t *testing.T) {
 			a.MS = a.MS.Expand(rng.Float64() * 50)
 			a.MS = geom.TRR{U0: a.MS.U0, U1: a.MS.U1, W0: a.MS.W0, W1: a.MS.W0}
 		}
-		m, err := ZeroSkewMerge(p, a, b)
+		m, err := BoundedSkewMerge(p, a, b, 0)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -225,9 +226,9 @@ func buildRandomTree(t *testing.T, p tech.Params, n int, driver *tech.Driver, rn
 		var next []*topology.Node
 		for i := 0; i+1 < len(nodes); i += 2 {
 			a, b := nodes[i], nodes[i+1]
-			m, err := ZeroSkewMerge(p,
+			m, err := BoundedSkewMerge(p,
 				Branch{MS: a.MS, Delay: a.Delay, Cap: a.Cap, Driver: driver},
-				Branch{MS: b.MS, Delay: b.Delay, Cap: b.Cap, Driver: driver})
+				Branch{MS: b.MS, Delay: b.Delay, Cap: b.Cap, Driver: driver}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,12 +295,12 @@ func TestGateShieldingReducesUpstreamLoad(t *testing.T) {
 	p := tech.Default()
 	a := sinkBranch(0, 0, 500)
 	b := sinkBranch(400, 0, 500)
-	plain, err := ZeroSkewMerge(p, a, b)
+	plain, err := BoundedSkewMerge(p, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Driver, b.Driver = &p.Gate, &p.Gate
-	gated, err := ZeroSkewMerge(p, a, b)
+	gated, err := BoundedSkewMerge(p, a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestMergeRegionContainsTapNeighborhood(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		a := sinkBranch(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*50)
 		b := sinkBranch(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*50)
-		m, err := ZeroSkewMerge(p, a, b)
+		m, err := BoundedSkewMerge(p, a, b, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,4 +373,27 @@ func TestMergeRegionContainsTapNeighborhood(t *testing.T) {
 			}
 		}
 	}
+}
+
+// CheckEmbedding verifies that every embedded location is geometrically
+// consistent: each node sits on its merging segment and within its edge
+// length of its parent.
+func CheckEmbedding(t *topology.Tree) error {
+	var err error
+	t.Root.PreOrder(func(n *topology.Node) {
+		if err != nil {
+			return
+		}
+		if !n.MS.Contains(n.Loc, 1e-6) {
+			err = fmt.Errorf("dme: node %d embedded off its merging segment", n.ID)
+			return
+		}
+		if n.Parent != nil {
+			if d := geom.Dist(n.Loc, n.Parent.Loc); d > n.EdgeLen+1e-6 {
+				err = fmt.Errorf("dme: node %d at distance %v from parent but edge length %v",
+					n.ID, d, n.EdgeLen)
+			}
+		}
+	})
+	return err
 }

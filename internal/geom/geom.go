@@ -62,22 +62,6 @@ func Arc(a, b Point) (TRR, error) {
 	return t, nil
 }
 
-// MustArc is Arc for compile-time-known endpoints; it panics when the
-// segment is not a Manhattan arc.
-func MustArc(a, b Point) TRR {
-	t, err := Arc(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// IsArcEndpoints reports whether the segment a–b has slope +1 or −1 (or is a
-// single point), i.e. whether it is a valid merging sector.
-func IsArcEndpoints(a, b Point) bool {
-	return a.X+a.Y == b.X+b.Y || a.Y-a.X == b.Y-b.X
-}
-
 // Valid reports whether the TRR is non-empty (intervals are ordered).
 func (t TRR) Valid() bool { return t.U0 <= t.U1 && t.W0 <= t.W1 }
 
@@ -92,12 +76,6 @@ func (t TRR) IsPoint() bool { return t.U0 == t.U1 && t.W0 == t.W1 }
 // every point within Manhattan distance d of t. d must be non-negative.
 func (t TRR) Expand(d float64) TRR {
 	return TRR{t.U0 - d, t.U1 + d, t.W0 - d, t.W1 + d}
-}
-
-// Shrink is the inverse of Expand; the result may be invalid (empty) if the
-// TRR is thinner than 2d in either rotated axis.
-func (t TRR) Shrink(d float64) TRR {
-	return TRR{t.U0 + d, t.U1 - d, t.W0 + d, t.W1 - d}
 }
 
 // Union returns the smallest TRR containing both t and o.
@@ -188,26 +166,6 @@ func (t TRR) Nearest(p Point) Point {
 	return fromRotated(u, w)
 }
 
-// NearestToTRR returns a point of t at minimum Manhattan distance from o.
-func (t TRR) NearestToTRR(o TRR) Point {
-	u := clamp(mid(o.U0, o.U1, t.U0, t.U1), t.U0, t.U1)
-	w := clamp(mid(o.W0, o.W1, t.W0, t.W1), t.W0, t.W1)
-	return fromRotated(u, w)
-}
-
-// mid picks a coordinate of [a0,a1] nearest to [b0,b1]: if the intervals
-// overlap it returns the midpoint of the overlap, otherwise the facing end.
-func mid(b0, b1, a0, a1 float64) float64 {
-	lo, hi := math.Max(a0, b0), math.Min(a1, b1)
-	if lo <= hi {
-		return (lo + hi) / 2
-	}
-	if a1 < b0 {
-		return a1
-	}
-	return a0
-}
-
 // Center returns the midpoint of t — the paper's mid(ms(v)), used to
 // estimate the controller-star edge length during bottom-up merging.
 func (t TRR) Center() Point {
@@ -240,13 +198,6 @@ func (t TRR) Corners() [4]Point {
 		fromRotated(t.U1, t.W0),
 		fromRotated(t.U1, t.W1),
 	}
-}
-
-// ArcLength returns the Manhattan length spanned by an arc-shaped TRR: the
-// Manhattan distance between its two extreme corners. For a full (fat) TRR
-// it returns the semi-perimeter equivalent max extent.
-func (t TRR) ArcLength() float64 {
-	return math.Max(t.U1-t.U0, t.W1-t.W0)
 }
 
 func (t TRR) String() string {

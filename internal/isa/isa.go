@@ -142,9 +142,6 @@ func (d *Description) UsesAny(k int, modules Bitset) bool {
 	return d.mask[k].Intersects(modules)
 }
 
-// Mask returns the module bitset of instruction k. Callers must not modify it.
-func (d *Description) Mask(k int) Bitset { return d.mask[k] }
-
 // AvgUsage returns the mean fraction of modules used per instruction —
 // Ave(M(I)) of Table 4 in the paper (uniform over instructions; see
 // stream.Stats for the stream-weighted version).

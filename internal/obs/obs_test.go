@@ -350,3 +350,14 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Errorf("q<0 returned %v", got)
 	}
 }
+
+// PhaseDurations returns the accumulated wall time per phase name.
+func (t *JSONLTracer) PhaseDurations() map[string]time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[string]time.Duration, len(t.phaseDur))
+	for k, v := range t.phaseDur {
+		out[k] = v
+	}
+	return out
+}

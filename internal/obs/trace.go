@@ -209,17 +209,6 @@ func (t *JSONLTracer) WriteSummary(w io.Writer) error {
 	return err
 }
 
-// PhaseDurations returns the accumulated wall time per phase name.
-func (t *JSONLTracer) PhaseDurations() map[string]time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]time.Duration, len(t.phaseDur))
-	for k, v := range t.phaseDur {
-		out[k] = v
-	}
-	return out
-}
-
 // Phases returns the phase names in first-seen order.
 func (t *JSONLTracer) Phases() []string {
 	t.mu.Lock()

@@ -28,9 +28,9 @@ func randomTree(t *testing.T, p tech.Params, n int, rng *rand.Rand) *topology.Tr
 		var next []*topology.Node
 		for i := 0; i+1 < len(nodes); i += 2 {
 			a, b := nodes[i], nodes[i+1]
-			m, err := dme.ZeroSkewMerge(p,
+			m, err := dme.BoundedSkewMerge(p,
 				dme.Branch{MS: a.MS, Delay: a.Delay, Cap: a.Cap},
-				dme.Branch{MS: b.MS, Delay: b.Delay, Cap: b.Cap})
+				dme.Branch{MS: b.MS, Delay: b.Delay, Cap: b.Cap}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,6 @@ type Node struct {
 	// the edge carries no gate, so gate-reduction sweeps can re-gate).
 	Instr  activity.InstrSet // instructions that activate any module below
 	P, Ptr float64           // signal and transition probability of EN
-	Act    *activity.Handle  // incremental activity state over Instr
 
 	isGate bool // Driver is a masking gate, not a free-running buffer
 }
@@ -195,22 +194,10 @@ func (t *Tree) Validate() error {
 	return err
 }
 
-// Edges visits every edge of the tree as (child owning the edge). The root's
-// incoming edge (from the source) is included.
-func (t *Tree) Edges(visit func(*Node)) {
-	t.Root.PreOrder(visit)
-}
-
 // SetDriver installs a driver at the top of n's incoming edge. gate marks it
 // as a masking AND gate (participating in the controller star and switching
 // with P(EN)); otherwise it is a free-running buffer.
 func (n *Node) SetDriver(d *tech.Driver, gate bool) {
 	n.Driver = d
 	n.isGate = gate
-}
-
-// ClearDriver removes any driver from n's incoming edge.
-func (n *Node) ClearDriver() {
-	n.Driver = nil
-	n.isGate = false
 }

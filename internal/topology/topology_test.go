@@ -135,3 +135,9 @@ func TestDrivers(t *testing.T) {
 		t.Error("ClearDriver failed")
 	}
 }
+
+// ClearDriver removes any driver from n's incoming edge.
+func (n *Node) ClearDriver() {
+	n.Driver = nil
+	n.isGate = false
+}

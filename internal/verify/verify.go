@@ -22,7 +22,7 @@
 //     W = W(T) + W(S).
 //
 // Deliberately none of the construction-time bookkeeping (merge results,
-// pair-cost memo, activity handles) is consulted: the verifier would accept
+// pair-cost memo, spatial index) is consulted: the verifier would accept
 // or reject the same trees if the router were rewritten from the paper's
 // pseudocode. Every failure wraps ErrInvariant and is reported as a
 // *Violation carrying the failed check and the offending node.
