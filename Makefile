@@ -11,8 +11,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Lint: vet plus a gofmt check that fails on any unformatted file.
+# Lint: vet (the root module, then perf/, which has its own go.mod and so
+# is out of reach of the root `go vet ./...`) plus a gofmt check that fails
+# on any unformatted file.
 lint: vet
+	cd perf && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
@@ -86,16 +89,17 @@ fuzz-index:
 serve:
 	$(GO) run ./cmd/gcrd -addr localhost:8080
 
-# Chaos smoke under -race: panic isolation in serve, then the node drill — a
-# deterministic fault schedule (injected panics, 5xx bursts, latency)
-# through the resilient client, a kill/drain window, and one
-# snapshot/restart cycle — as a test and as the loadclient -chaos run that
-# writes bin/BENCH_chaos.json. Both hold the drill to the same
-# Report.Check. Its counts vary from run to run, so the smoke leaves the
-# checked-in BENCH_chaos.json alone: that file is the reviewed record,
-# re-recorded on purpose (copy bin/BENCH_chaos.json over it).
+# Chaos smoke under -race: panic isolation in serve (worker executions and
+# the handler middleware), then the node drill — a deterministic fault
+# schedule (injected panics, 5xx bursts, latency) through the resilient
+# client, a kill/drain window, and one snapshot/restart cycle — as a test
+# and as the loadclient -chaos run that writes bin/BENCH_chaos.json. Both
+# hold the drill to the same Report.Check. Its counts vary from run to
+# run, so the smoke leaves the checked-in BENCH_chaos.json alone: that file
+# is the reviewed record, re-recorded on purpose (copy bin/BENCH_chaos.json
+# over it).
 chaos-smoke:
-	$(GO) test -race -run 'TestPanicIsolation|TestBatchPartialFailure' -count=1 ./internal/serve
+	$(GO) test -race -run 'TestPanicIsolation|TestHandlerPanicRecovered' -count=1 ./internal/serve
 	$(GO) test -race -run 'TestNodeDrill' -count=1 ./internal/drill
 	mkdir -p bin
 	$(GO) run -race ./examples/loadclient -chaos -n 300 -json bin/BENCH_chaos.json

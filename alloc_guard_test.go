@@ -22,10 +22,11 @@ func TestRouteAllocationCeiling(t *testing.T) {
 		allocsCeil float64 // allocations per Route
 		bytesCeil  float64 // heap bytes per Route
 	}{
-		// Measured steady state: ≈1.6k allocs / 1.84 MB at N=1024 and
-		// ≈5.8k allocs / 7.15 MB at N=4096.
-		{sinks: 1024, allocsCeil: 2400, bytesCeil: 2.8e6},
-		{sinks: 4096, allocsCeil: 8700, bytesCeil: 10.8e6},
+		// Measured steady state: 591 allocs / 1.84 MB at N=1024 and
+		// 1,669 allocs / 7.15 MB at N=4096 (the sinks' instruction sets
+		// live in the word arena, not one heap slice each).
+		{sinks: 1024, allocsCeil: 900, bytesCeil: 2.8e6},
+		{sinks: 4096, allocsCeil: 2500, bytesCeil: 10.8e6},
 	}
 	for i := range cases {
 		c := &cases[i]

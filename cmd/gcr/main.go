@@ -133,9 +133,6 @@ type runCfg struct {
 	pprofAddr               string
 }
 
-// validModes mirrors the option constructors in run.
-var validModes = map[string]bool{"bare": true, "buffered": true, "gated": true, "gated-red": true}
-
 // validate rejects malformed or contradictory flag combinations before any
 // routing work starts. Every error it returns is a usageError.
 func validate(cfg runCfg) error {
@@ -161,7 +158,7 @@ func validate(cfg runCfg) error {
 			return usagef("unknown placement %q (want uniform|clustered|hotspot|ring)", cfg.placement)
 		}
 	}
-	if !validModes[cfg.mode] {
+	if _, ok := gatedclock.ModeOptions(cfg.mode); !ok {
 		return usagef("unknown mode %q (want bare|buffered|gated|gated-red)", cfg.mode)
 	}
 	if cfg.controllers < 1 || cfg.controllers&(cfg.controllers-1) != 0 {
@@ -266,17 +263,7 @@ func run(w io.Writer, cfg runCfg) error {
 		return err
 	}
 
-	var opts gatedclock.Options
-	switch mode {
-	case "bare":
-		opts = gatedclock.BareOptions()
-	case "buffered":
-		opts = gatedclock.BufferedOptions()
-	case "gated":
-		opts = gatedclock.GatedOptions()
-	case "gated-red":
-		opts = gatedclock.GatedReducedOptions()
-	}
+	opts, _ := gatedclock.ModeOptions(mode) // validate checked the name
 	if controllers > 1 {
 		c, err := gatedclock.DistributedController(b, controllers)
 		if err != nil {

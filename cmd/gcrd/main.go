@@ -90,7 +90,6 @@ type runCfg struct {
 	addr             string
 	workers          int
 	queue            int
-	watermark        int
 	cacheSize        int
 	timeout          time.Duration
 	verify           bool
@@ -112,9 +111,8 @@ func parseArgs(args []string) (*runCfg, error) {
 	fs.StringVar(&cfg.addr, "addr", "localhost:8080", "listen address (host:port)")
 	fs.IntVar(&cfg.workers, "workers", 0, "routing worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.queue, "queue", 64, "admission queue depth (full queue answers 429)")
-	fs.IntVar(&cfg.watermark, "watermark", 0, "queue depth at which background requests are shed (0 = queue/2)")
 	fs.IntVar(&cfg.cacheSize, "cache", 128, "result-cache entries (the front tier's L1 in -cluster mode)")
-	fs.DurationVar(&cfg.timeout, "timeout", 2*time.Minute, "maximum per-request routing deadline (per-shard forward budget in -cluster mode)")
+	fs.DurationVar(&cfg.timeout, "timeout", 2*time.Minute, "routing deadline of every execution (per-shard forward budget in -cluster mode)")
 	fs.BoolVar(&cfg.verify, "verify", false, "run the independent checker on every cache miss before caching")
 	fs.DurationVar(&cfg.grace, "grace", 30*time.Second, "shutdown drain budget before in-flight routes are canceled")
 	fs.StringVar(&cfg.snapshot, "snapshot", "", "cache snapshot path: loaded (and digest-verified) at start, rewritten periodically and on drain")
@@ -166,7 +164,6 @@ func validate(cfg *runCfg) error {
 		{"verify", "verification runs where routing runs: pass -verify to the shard gcrds"},
 		{"workers", "the front tier does no routing work: size -workers on the shard gcrds"},
 		{"queue", "admission control is shard-side: size -queue on the shard gcrds"},
-		{"watermark", "admission control is shard-side: set -watermark on the shard gcrds"},
 	}
 	for _, f := range shardOnly {
 		if cfg.set[f.name] {
@@ -213,7 +210,6 @@ func runShard(cfg *runCfg) error {
 	scfg := serve.Config{
 		Workers:          cfg.workers,
 		QueueDepth:       cfg.queue,
-		ShedWatermark:    cfg.watermark,
 		CacheSize:        cfg.cacheSize,
 		MaxTimeout:       cfg.timeout,
 		Verify:           cfg.verify,
@@ -286,7 +282,6 @@ func runFront(cfg *runCfg) error {
 	if err != nil {
 		return fmt.Errorf("cannot listen on %s (port in use, or address not local?): %w", cfg.addr, err)
 	}
-	obs.Default().PublishExpvar("gatedclock")
 	httpSrv := &http.Server{Handler: rt.Handler()}
 	log.Printf("gcrd: cluster front tier on http://%s over %d shards: %s", ln.Addr(), len(shards), strings.Join(shards, " "))
 

@@ -15,6 +15,7 @@ import (
 
 	gatedclock "repro"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 var ks = []int{1, 2, 4, 8, 16}
@@ -101,7 +102,7 @@ func main() {
 	sort.Strings(names)
 	for _, name := range names {
 		inst := fleet[name]
-		if inst.KindStr == "histogram" {
+		if inst.Kind == obs.KindHistogram {
 			fmt.Printf("  %-32s count=%d sum=%.0f\n", name, inst.Count, inst.Sum)
 			continue
 		}

@@ -384,6 +384,24 @@ func BareOptions() Options {
 	}
 }
 
+// ModeOptions maps a clock-style name — "bare", "buffered", "gated" or
+// "gated-red", the four configurations Figure 3 compares — to its option
+// constructor; an unknown name reports false. The gcr command and the
+// routing service both parse modes through it.
+func ModeOptions(mode string) (Options, bool) {
+	switch mode {
+	case "bare":
+		return BareOptions(), true
+	case "buffered":
+		return BufferedOptions(), true
+	case "gated":
+		return GatedOptions(), true
+	case "gated-red":
+		return GatedReducedOptions(), true
+	}
+	return Options{}, false
+}
+
 // ReductionSweepOptions maps a reduction intensity θ ∈ [0, 1] to a gated
 // configuration for benchmark b — the Figure 5 sweep.
 func ReductionSweepOptions(theta float64, b *Benchmark) Options {

@@ -2,6 +2,7 @@ package gatedclock_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,6 +46,24 @@ func TestPublicFlow(t *testing.T) {
 		if res.Controller == nil || res.Controller.K() != 1 {
 			t.Fatal("default controller must be centralized")
 		}
+	}
+}
+
+// TestModeOptions: each clock-style name the gcr command and the service
+// accept maps to its constructor, and an unknown name is refused.
+func TestModeOptions(t *testing.T) {
+	for mode, want := range map[string]gatedclock.Options{
+		"bare":      gatedclock.BareOptions(),
+		"buffered":  gatedclock.BufferedOptions(),
+		"gated":     gatedclock.GatedOptions(),
+		"gated-red": gatedclock.GatedReducedOptions(),
+	} {
+		if got, ok := gatedclock.ModeOptions(mode); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("ModeOptions(%q) = %+v, %v; want %+v", mode, got, ok, want)
+		}
+	}
+	if _, ok := gatedclock.ModeOptions("turbo"); ok {
+		t.Error("unknown mode accepted")
 	}
 }
 

@@ -152,7 +152,13 @@ func (p *Profile) SetForModules(modules ...int) InstrSet {
 
 // SetForModule returns the InstrSet of a single sink. O(K).
 func (p *Profile) SetForModule(m int) InstrSet {
-	s := isa.NewBitset(p.ISA.NumInstr())
+	return p.FillForModule(isa.NewBitset(p.ISA.NumInstr()), m)
+}
+
+// FillForModule sets, in s (SetWords words, all clear), the instructions
+// that use module m and returns s, so a caller can keep sink sets in a
+// slab of its own. O(K).
+func (p *Profile) FillForModule(s InstrSet, m int) InstrSet {
 	for k := 0; k < p.ISA.NumInstr(); k++ {
 		if p.ISA.UsesModule(k, m) {
 			s.Set(k)

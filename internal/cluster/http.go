@@ -180,9 +180,9 @@ func (rt *Router) forward(ctx context.Context, body []byte, digest string, cands
 
 		switch {
 		case cres != nil && cres.Response != nil:
-			// A real answer from a live shard; admit it into L1 so repeats
-			// stay local.
-			rt.l1.Add(digest, cres.Response.Result())
+			// A real answer from a live shard; admit its result, exactly as
+			// the shard sent it, into L1 so repeats stay local.
+			rt.l1.Add(digest, &cres.Response.RouteResult)
 			source := "shard"
 			if cres.Response.Cached {
 				source = "l2"

@@ -415,14 +415,14 @@ type router struct {
 	bufferCap float64 // ungated-edge buffer-insertion threshold (fF)
 	workers   int
 
-	// Arenas of the construction. Every run of the greedy performs exactly
-	// n−1 merges, each creating one Node and (with a profile) one InstrSet
-	// of actWords words, so both are carved from backing arrays sized up
-	// front in makeSinks. Arena slots are tree-resident — the tree
-	// outlives the router, and so do the arrays. If an arena ever runs dry
-	// (a schedule that merges more than n−1 times would be a bug
-	// elsewhere), carving falls back to the heap rather than reallocating
-	// and invalidating handed-out pointers.
+	// Arenas of the construction. A tree has 2n−1 nodes: n sinks and the
+	// n−1 merges every run of the greedy performs. Each node is one Node
+	// and (with a profile) one InstrSet of actWords words, so both are
+	// carved from backing arrays sized up front in makeSinks. Arena slots
+	// are tree-resident — the tree outlives the router, and so do the
+	// arrays. If an arena ever runs dry (a schedule that merges more than
+	// n−1 times would be a bug elsewhere), carving falls back to the heap
+	// rather than reallocating and invalidating handed-out pointers.
 	nodeArena []topology.Node
 	wordArena []uint64
 	actWords  int
@@ -686,20 +686,20 @@ func locsOf(nodes []*topology.Node) []geom.Point {
 func (r *router) makeSinks() []*topology.Node {
 	n := len(r.in.SinkLocs)
 	// One backing array for all 2n−1 nodes of the tree (n sinks + n−1
-	// merges) and, when a profile is attached, one for the instruction
-	// sets of the n−1 merges. The slabs live exactly as long as the tree
-	// that points into them.
+	// merges) and, when a profile is attached, one for their 2n−1
+	// instruction sets. The slabs live exactly as long as the tree that
+	// points into them.
 	slab := make([]topology.Node, n, 2*n-1)
 	nodes := make([]*topology.Node, n)
 	if p := r.in.Profile; p != nil {
 		r.actWords = p.SetWords()
-		r.wordArena = make([]uint64, 0, (n-1)*r.actWords)
+		r.wordArena = make([]uint64, 0, (2*n-1)*r.actWords)
 	}
 	for i, loc := range r.in.SinkLocs {
 		slab[i] = topology.MakeSink(i, i, loc, r.in.SinkCaps[i])
 		node := &slab[i]
 		if p := r.in.Profile; p != nil {
-			node.Instr = p.SetForModule(i)
+			node.Instr = p.FillForModule(r.carveWords(), i)
 			node.P = p.SignalProb(node.Instr)
 			node.Ptr = p.TransProb(node.Instr)
 		}

@@ -97,7 +97,6 @@ type Schedule struct {
 	seed   uint64
 	period uint64
 	n      atomic.Int64
-	fired  atomic.Int64
 }
 
 // NewSchedule returns a schedule firing once per period draws; period <= 0
@@ -118,27 +117,7 @@ func (s *Schedule) Next() bool {
 	n := uint64(s.n.Add(1) - 1)
 	window := n / s.period
 	phase := mix64(s.seed^window) % s.period
-	if n%s.period == phase {
-		s.fired.Add(1)
-		return true
-	}
-	return false
-}
-
-// Fired returns how many times the schedule has fired.
-func (s *Schedule) Fired() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.fired.Load()
-}
-
-// Draws returns how many events have been drawn.
-func (s *Schedule) Draws() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.n.Load()
+	return n%s.period == phase
 }
 
 // Injector counts eligible events down to the planned one and fires

@@ -49,12 +49,17 @@ func jsonRoundTrip(t *testing.T, s Snapshot) Snapshot {
 // Merge would treat every decoded instrument as a counter.
 func TestSnapshotJSONRoundTripPreservesKind(t *testing.T) {
 	r := shardRegistry(rand.New(rand.NewSource(1)), true)
-	got := jsonRoundTrip(t, r.Snapshot())
-	for name, s := range got {
-		want, ok := KindFromString(s.KindStr)
-		if !ok || s.Kind != want {
-			t.Fatalf("%s: kind %v (str %q) not restored", name, s.Kind, s.KindStr)
+	want := r.Snapshot()
+	got := jsonRoundTrip(t, want)
+	kinds := map[Kind]bool{}
+	for name, s := range want {
+		if got[name].Kind != s.Kind {
+			t.Fatalf("%s: kind %v decoded as %v", name, s.Kind, got[name].Kind)
 		}
+		kinds[s.Kind] = true
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("the round trip covered %d of the 3 kinds", len(kinds))
 	}
 	var bad Snapshot
 	if err := json.Unmarshal([]byte(`{"x":{"kind":"bogus"}}`), &bad); err == nil {

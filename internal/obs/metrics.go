@@ -34,17 +34,25 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// KindFromString inverts Kind.String; unknown names report false.
-func KindFromString(s string) (Kind, bool) {
-	switch s {
+// MarshalText writes the kind by name, so a snapshot's wire form reads
+// "kind":"counter".
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText inverts MarshalText, so a snapshot fetched over HTTP (a
+// shard's /metrics.json) merges by typed kind exactly like a locally
+// captured one; an unknown name fails the decode.
+func (k *Kind) UnmarshalText(text []byte) error {
+	switch string(text) {
 	case "counter":
-		return KindCounter, true
+		*k = KindCounter
 	case "gauge":
-		return KindGauge, true
+		*k = KindGauge
 	case "histogram":
-		return KindHistogram, true
+		*k = KindHistogram
+	default:
+		return fmt.Errorf("obs: snapshot instrument has unknown kind %q", text)
 	}
-	return 0, false
+	return nil
 }
 
 // Counter is a monotonically increasing count. Updates are single atomic
@@ -363,31 +371,11 @@ func (b *BucketCount) UnmarshalJSON(data []byte) error {
 
 // InstrumentSnapshot is the point-in-time state of one instrument.
 type InstrumentSnapshot struct {
-	Kind    Kind          `json:"-"`
-	KindStr string        `json:"kind"`
+	Kind    Kind          `json:"kind"`
 	Value   int64         `json:"value,omitempty"`   // counter, gauge
 	Count   int64         `json:"count,omitempty"`   // histogram
 	Sum     float64       `json:"sum,omitempty"`     // histogram
 	Buckets []BucketCount `json:"buckets,omitempty"` // histogram
-}
-
-// UnmarshalJSON restores the typed Kind from the wire kind string, so a
-// snapshot fetched over HTTP (a shard's /metrics.json) merges exactly like
-// a locally captured one — Merge dispatches on Kind, which the wire form
-// only carries as text.
-func (s *InstrumentSnapshot) UnmarshalJSON(data []byte) error {
-	type plain InstrumentSnapshot // shed methods: avoid recursing into this unmarshaler
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	*s = InstrumentSnapshot(p)
-	if k, ok := KindFromString(s.KindStr); ok {
-		s.Kind = k
-	} else {
-		return fmt.Errorf("obs: snapshot instrument has unknown kind %q", s.KindStr)
-	}
-	return nil
 }
 
 // Snapshot is a consistent-enough copy of a registry (each instrument is
@@ -401,7 +389,7 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	out := make(Snapshot, len(r.kinds))
 	for name, kind := range r.kinds {
-		s := InstrumentSnapshot{Kind: kind, KindStr: kind.String()}
+		s := InstrumentSnapshot{Kind: kind}
 		switch kind {
 		case KindCounter:
 			s.Value = r.ctrs[name].Value()
@@ -525,7 +513,7 @@ func writeSnapshotProm(w io.Writer, snap Snapshot, help map[string]string) error
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, s.KindStr); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, s.Kind); err != nil {
 			return err
 		}
 		var err error

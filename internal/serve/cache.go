@@ -1,41 +1,53 @@
 package serve
 
-import (
-	"repro/internal/core"
-	"repro/internal/power"
-	"repro/internal/sieve"
-)
+import "repro/internal/sieve"
 
-// RouteResult is the cacheable outcome of one routing execution: the
-// canonical tree digest (bit-identity witness), the full power evaluation
-// with its W(T)/W(S) split, and the construction Stats. The tree itself is
-// deliberately not retained — a cached r5 keeps ~1 KB, not a 6000-node
-// topology.
+// RouteResult is the outcome of one routing execution as the wire carries
+// it: the canonical tree digest (bit-identity witness), the W(T)/W(S)
+// evaluation and the construction counts. It is the result half of every
+// RouteResponse, and the shard cache, its snapshot, the cache peek and the
+// cluster's L1 all hold exactly this shape, so a result crosses tiers
+// without conversion. The tree itself is deliberately not retained — a
+// cached r5 keeps a few hundred bytes, not a 6000-node topology.
 type RouteResult struct {
-	TreeDigest string
-	Report     power.Report
-	Stats      core.Stats
-	RouteMs    float64 // wall time of the original construction
+	// TreeDigest is topology.Tree.Digest() of the routed tree —
+	// bit-identical across cache hits, coalesced joins and re-executions
+	// of the same request.
+	TreeDigest string      `json:"treeDigest"`
+	Report     RouteReport `json:"report"`
+	Stats      RouteStats  `json:"stats"`
+	// RouteMs is the wall time of the execution that produced the result
+	// (the original one, for cached responses).
+	RouteMs float64 `json:"routeMs"`
+}
+
+// RouteReport is the power/area/timing evaluation on the wire.
+type RouteReport struct {
+	TotalSC         float64 `json:"totalSC"`
+	ClockSC         float64 `json:"clockSC"` // W(T)
+	CtrlSC          float64 `json:"ctrlSC"`  // W(S)
+	UngatedSC       float64 `json:"ungatedSC"`
+	ClockWirelength float64 `json:"clockWirelength"`
+	StarWirelength  float64 `json:"starWirelength"`
+	Gates           int     `json:"gates"`
+	Buffers         int     `json:"buffers"`
+	MaxDelayPs      float64 `json:"maxDelayPs"`
+	SkewPs          float64 `json:"skewPs"`
+}
+
+// RouteStats is the construction accounting on the wire.
+type RouteStats struct {
+	Merges           int `json:"merges"`
+	Snakes           int `json:"snakes"`
+	PairEvals        int `json:"pairEvals"`
+	PairEvalsSkipped int `json:"pairEvalsSkipped"`
+	PairEvalsCached  int `json:"pairEvalsCached"`
 }
 
 // resultCache is the digest-keyed SIEVE cache of RouteResults
 // (internal/sieve).
 type resultCache = sieve.Cache[string, *RouteResult]
 
-// cacheEntry is the snapshot-format view of one cache entry.
-type cacheEntry struct {
-	digest string
-	res    *RouteResult
-}
-
-// entriesOldestFirst copies the cache in queue order, oldest → newest,
-// the order a snapshot replays through Add so the restored cache rebuilds
-// the original queue with every visited bit cleared.
-func entriesOldestFirst(c *resultCache) []cacheEntry {
-	raw := c.EntriesOldestFirst()
-	out := make([]cacheEntry, len(raw))
-	for i, e := range raw {
-		out[i] = cacheEntry{digest: e.Key, res: e.Value}
-	}
-	return out
-}
+// cacheEntry is one cache entry, keyed by request digest, as the snapshot
+// writes and replays it.
+type cacheEntry = sieve.Entry[string, *RouteResult]

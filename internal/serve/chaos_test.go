@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -51,41 +50,6 @@ func TestPanicIsolation(t *testing.T) {
 	resp := decodeResp(t, post(s.Handler(), "/v1/route", testBody))
 	if resp.TreeDigest == "" {
 		t.Fatal("post-panic request returned an empty result")
-	}
-}
-
-// TestBatchPartialFailure: one panicking item and one invalid item in a
-// batch fail alone — every sibling completes normally with its own result.
-func TestBatchPartialFailure(t *testing.T) {
-	bomb := distinctBody(667)
-	s := New(Config{Workers: 2, route: panicOnDigest(mustResolve(t, bomb).Digest())})
-	defer shutdownOrFail(t, s)
-
-	batch := fmt.Sprintf(`[%s,%s,%s,{"benchmark":"r99"}]`, testBody, bomb, distinctBody(5))
-	rec := post(s.Handler(), "/v1/route/batch", batch)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch status %d, want 200 (items fail individually): %s", rec.Code, rec.Body.String())
-	}
-	var items []BatchItem
-	if err := json.Unmarshal(rec.Body.Bytes(), &items); err != nil || len(items) != 4 {
-		t.Fatalf("batch answered %d items (err %v), want 4", len(items), err)
-	}
-	for i, wantStatus := range []int{200, 500, 200, 400} {
-		if items[i].Status != wantStatus {
-			t.Errorf("item %d: status %d, want %d (error: %+v)", i, items[i].Status, wantStatus, items[i].Error)
-		}
-	}
-	if items[0].Response == nil || items[2].Response == nil {
-		t.Fatal("sibling items of the panicking item lost their responses")
-	}
-	if items[1].Error == nil || items[1].Error.Kind != "panic" {
-		t.Fatalf("panicking item error %+v, want kind=panic", items[1].Error)
-	}
-	if items[3].Error == nil || items[3].Error.Kind != "bad_request" {
-		t.Fatalf("invalid item error %+v, want kind=bad_request", items[3].Error)
-	}
-	if got := s.Metrics().Snapshot()["serve_panics_total"].Value; got < 1 {
-		t.Fatalf("serve_panics_total %d, want >= 1", got)
 	}
 }
 

@@ -201,7 +201,7 @@ func (c *Client) Route(ctx context.Context, body []byte) (*ClientResult, error) 
 			}
 			continue
 		default:
-			// 4xx, 304, …: the server answered deliberately — final.
+			// 4xx: the server answered deliberately — final.
 			out.ErrorBody = resp.errBody
 			return out, nil
 		}
@@ -373,22 +373,6 @@ func (b *breaker) record(ok bool, now time.Time) {
 func (b *breaker) setState(s int64) {
 	b.state = s
 	b.inst.breakerState.Set(s)
-}
-
-// BreakerState returns the breaker state for inspection: "closed", "open"
-// or "half-open".
-func (c *Client) BreakerState() string {
-	c.init()
-	c.breaker.mu.Lock()
-	defer c.breaker.mu.Unlock()
-	switch c.breaker.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
 }
 
 // HandlerTransport adapts an in-process http.Handler into the client's

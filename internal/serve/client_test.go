@@ -12,7 +12,7 @@ import (
 // okHandler answers every request 200 with a minimal route body.
 func okHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, &RouteResponse{Digest: "d", TreeDigest: "t"})
+		writeJSON(w, http.StatusOK, &RouteResponse{Digest: "d", RouteResult: RouteResult{TreeDigest: "t"}})
 	})
 }
 
@@ -25,6 +25,13 @@ func statusHandler(status int, retryAfter string) http.Handler {
 		}
 		writeJSON(w, status, &ErrorResponse{Error: "boom", Kind: "internal"})
 	})
+}
+
+// breakerState reads the client_breaker_state gauge: 0 closed, 1 open,
+// 2 half-open.
+func breakerState(c *Client) int64 {
+	c.init()
+	return c.Metrics.Snapshot()["client_breaker_state"].Value
 }
 
 // recordedSleeps installs a sleep seam that records durations without
@@ -134,8 +141,8 @@ func TestBadRequestIsFinal(t *testing.T) {
 	if res.Status != 400 || res.Retries != 0 || res.ErrorBody == nil {
 		t.Fatalf("got status=%d retries=%d body=%v", res.Status, res.Retries, res.ErrorBody)
 	}
-	if got := c.BreakerState(); got != "closed" {
-		t.Fatalf("breaker %s after a 400, want closed", got)
+	if got := breakerState(c); got != breakerClosed {
+		t.Fatalf("breaker state %d after a 400, want closed", got)
 	}
 }
 
@@ -165,13 +172,13 @@ func TestBreakerTransitions(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 3; i++ {
-		if got := c.BreakerState(); got != "closed" {
-			t.Fatalf("failure %d: breaker %s, want closed", i, got)
+		if got := breakerState(c); got != breakerClosed {
+			t.Fatalf("failure %d: breaker state %d, want closed", i, got)
 		}
 		c.Route(ctx, []byte(`{}`))
 	}
-	if got := c.BreakerState(); got != "open" {
-		t.Fatalf("after 3 consecutive failures breaker is %s, want open", got)
+	if got := breakerState(c); got != breakerOpen {
+		t.Fatalf("after 3 consecutive failures breaker state is %d, want open", got)
 	}
 	if v := c.Metrics.Snapshot()["client_breaker_opens_total"].Value; v != 1 {
 		t.Fatalf("client_breaker_opens_total %d, want 1", v)
@@ -192,8 +199,8 @@ func TestBreakerTransitions(t *testing.T) {
 	// Cooldown elapses; the probe fails → re-open.
 	now = now.Add(11 * time.Second)
 	c.Route(ctx, []byte(`{}`))
-	if got := c.BreakerState(); got != "open" {
-		t.Fatalf("failed half-open probe left breaker %s, want open", got)
+	if got := breakerState(c); got != breakerOpen {
+		t.Fatalf("failed half-open probe left breaker state %d, want open", got)
 	}
 	if v := c.Metrics.Snapshot()["client_breaker_opens_total"].Value; v != 2 {
 		t.Fatalf("client_breaker_opens_total %d, want 2 after re-open", v)
@@ -206,8 +213,8 @@ func TestBreakerTransitions(t *testing.T) {
 	if err != nil || res.Status != 200 {
 		t.Fatalf("half-open probe: %v (status %d)", err, res.Status)
 	}
-	if got := c.BreakerState(); got != "closed" {
-		t.Fatalf("successful probe left breaker %s, want closed", got)
+	if got := breakerState(c); got != breakerClosed {
+		t.Fatalf("successful probe left breaker state %d, want closed", got)
 	}
 }
 

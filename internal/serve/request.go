@@ -1,8 +1,10 @@
 // Package serve exposes the gated-clock router as a long-lived concurrent
 // service: an HTTP JSON API backed by a fixed worker pool, a bounded
-// admission queue with explicit backpressure and load shedding, a
-// singleflight coalescer that deduplicates concurrently in-flight identical
-// requests, and a SIEVE result cache. Requests are keyed by a canonical
+// admission queue that sheds with 429 instead of blocking, a singleflight
+// coalescer that deduplicates concurrently in-flight identical requests,
+// and a SIEVE result cache. One request shape (RouteRequest) maps to one
+// result shape (RouteResult), the paper's one placement and activity
+// profile to one tree and its W(T)+W(S). Requests are keyed by a canonical
 // SHA-256 digest covering the benchmark (or synthesis config), the
 // instruction stream, the technology parameters and every result-affecting
 // routing option, so repeated identical work — the k-controller sweeps of
@@ -20,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	gatedclock "repro"
 	"repro/internal/bench"
@@ -36,16 +37,15 @@ var (
 	// ErrBadRequest wraps every malformed-request failure: JSON syntax,
 	// unknown fields, contradictory or out-of-range parameters. → 400.
 	ErrBadRequest = errors.New("serve: bad request")
-	// ErrOverloaded is returned when the admission queue is full, or when
-	// a background request arrives above the load-shedding watermark. The
-	// HTTP layer answers 429 with a Retry-After hint. → 429.
+	// ErrOverloaded is returned when the admission queue is full. The HTTP
+	// layer answers 429 with a Retry-After hint. → 429.
 	ErrOverloaded = errors.New("serve: overloaded, retry later")
 	// ErrDraining is returned for new work while the server is shutting
 	// down; in-flight work still completes. → 503.
 	ErrDraining = errors.New("serve: draining, not accepting new work")
-	// ErrPanic wraps a panic recovered inside a routing execution, a batch
-	// item, or a handler: the poisoned request degrades to one typed 500
-	// instead of taking the process down. → 500, kind "panic".
+	// ErrPanic wraps a panic recovered inside a routing execution or a
+	// handler: the poisoned request degrades to one typed 500 instead of
+	// taking the process down. → 500, kind "panic".
 	ErrPanic = errors.New("serve: recovered panic")
 )
 
@@ -79,15 +79,6 @@ type RouteRequest struct {
 	// Tech overrides the full technology parameter set (default
 	// tech.Default()).
 	Tech *tech.Params `json:"tech,omitempty"`
-
-	// TimeoutMs caps this request's routing deadline; the server clamps it
-	// to its own maximum. Excluded from the digest — it cannot change the
-	// result, only whether one is produced.
-	TimeoutMs int `json:"timeoutMs,omitempty"`
-	// Background marks the request as shed-first: above the server's
-	// load-shedding watermark background requests are refused with 429
-	// while interactive ones still queue. Excluded from the digest.
-	Background bool `json:"background,omitempty"`
 }
 
 // BenchConfig mirrors bench.Config for the wire: a deterministic synthesis
@@ -144,22 +135,15 @@ func DecodeRouteRequest(data []byte) (*RouteRequest, error) {
 	return &req, nil
 }
 
-// validModes mirrors the option constructors in buildOptions.
-var validModes = map[string]bool{"bare": true, "buffered": true, "gated": true, "gated-red": true}
-
 // Resolved is the canonical form of a request: the fully defaulted
-// synthesis config, the effective routing options, and the digest-excluded
-// scheduling hints. Digest is computed over this form only.
+// synthesis config and the effective routing options. Digest is computed
+// over this form only.
 type Resolved struct {
 	Cfg         bench.Config  // canonical: WithDefaults applied
 	Stream      stream.Stream // nil unless explicitly overridden
 	Mode        string
 	Controllers int
 	Opts        core.Options // Tech resolved; Controller left nil (die-dependent)
-
-	// Scheduling hints, excluded from the digest.
-	Timeout    time.Duration // 0 = server default
-	Background bool
 }
 
 // Resolve validates the request and normalizes it to canonical form.
@@ -206,7 +190,8 @@ func (r *RouteRequest) Resolve() (*Resolved, error) {
 	if mode == "" {
 		mode = "gated-red"
 	}
-	if !validModes[mode] {
+	opts, ok := gatedclock.ModeOptions(mode)
+	if !ok {
 		return nil, fmt.Errorf("%w: unknown mode %q (want bare|buffered|gated|gated-red)", ErrBadRequest, mode)
 	}
 	k := r.Controllers
@@ -222,9 +207,6 @@ func (r *RouteRequest) Resolve() (*Resolved, error) {
 	if math.IsNaN(r.BufferCap) {
 		return nil, fmt.Errorf("%w: NaN bufferCap", ErrBadRequest)
 	}
-	if r.TimeoutMs < 0 {
-		return nil, fmt.Errorf("%w: negative timeoutMs %d", ErrBadRequest, r.TimeoutMs)
-	}
 	if len(r.Stream) > stream.MaxLen {
 		return nil, fmt.Errorf("%w: stream of %d cycles exceeds limit %d", ErrBadRequest, len(r.Stream), stream.MaxLen)
 	}
@@ -235,7 +217,6 @@ func (r *RouteRequest) Resolve() (*Resolved, error) {
 		}
 	}
 
-	opts := buildOptions(mode)
 	opts.SkewBoundPs = r.SkewBoundPs
 	opts.SizeDrivers = r.SizeDrivers
 	opts.BufferCap = r.BufferCap
@@ -256,23 +237,7 @@ func (r *RouteRequest) Resolve() (*Resolved, error) {
 		Mode:        mode,
 		Controllers: k,
 		Opts:        opts,
-		Timeout:     time.Duration(r.TimeoutMs) * time.Millisecond,
-		Background:  r.Background,
 	}, nil
-}
-
-// buildOptions maps a mode name to the library's option constructors.
-func buildOptions(mode string) gatedclock.Options {
-	switch mode {
-	case "bare":
-		return gatedclock.BareOptions()
-	case "buffered":
-		return gatedclock.BufferedOptions()
-	case "gated":
-		return gatedclock.GatedOptions()
-	default:
-		return gatedclock.GatedReducedOptions()
-	}
 }
 
 // digestVersion tags the canonical request encoding; bump on any change to
@@ -285,9 +250,8 @@ const digestVersion = 2
 // generation are deterministic functions of it), any explicit stream
 // override, the clock style, the controller count, and the routing-option
 // fingerprint (method, drivers, skew bound, sizing, full technology
-// parameter set — see core.Options.Fingerprint). Scheduling hints
-// (timeout, background) and observability knobs are excluded: they cannot
-// change the routed tree.
+// parameter set — see core.Options.Fingerprint). Observability knobs are
+// excluded: they cannot change the routed tree.
 func (rr *Resolved) Digest() string {
 	h := sha256.New()
 	var buf [8]byte

@@ -25,12 +25,10 @@ func TestDigestCanonicalization(t *testing.T) {
 	}
 
 	t.Run("equivalent spellings", func(t *testing.T) {
-		// timeout/background are digest-excluded: they cannot change the tree.
 		for name, body := range map[string]string{
 			"whitespace":        "  {\n\t\"benchmark\" :\t\"r1\"\n}  ",
 			"explicit mode":     `{"benchmark":"r1","mode":"gated-red"}`,
 			"explicit defaults": `{"mode":"gated-red","controllers":1,"benchmark":"r1","skewBoundPs":0,"sizeDrivers":false,"bufferCap":0}`,
-			"scheduling hints":  `{"benchmark":"r1","timeoutMs":30000,"background":true}`,
 		} {
 			if got := digestOf(t, body); got != base {
 				t.Errorf("%s: digest %s differs from plain r1 %s", name, got, base)
@@ -133,9 +131,6 @@ func TestResolveDefaults(t *testing.T) {
 	}
 	if rr.Cfg.NumInstr == 0 || rr.Cfg.StreamLen == 0 || rr.Cfg.DieSide == 0 {
 		t.Errorf("config not canonicalized: %+v", rr.Cfg)
-	}
-	if rr.Timeout != 0 || rr.Background {
-		t.Errorf("scheduling hints not zero by default: %v %v", rr.Timeout, rr.Background)
 	}
 	if err := rr.Opts.Tech.Validate(); err != nil {
 		t.Errorf("resolved tech invalid: %v", err)

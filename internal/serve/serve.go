@@ -19,26 +19,18 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is usable: GOMAXPROCS
-// workers, a queue of 64, shedding of background work above half the
-// queue, a 128-entry cache, a 2-minute routing deadline, and a fresh
-// metrics registry.
+// workers, a queue of 64, a 128-entry cache, a 2-minute routing deadline,
+// and a fresh metrics registry.
 type Config struct {
 	// Workers is the size of the routing worker pool (0 = GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the admission queue; a full queue answers 429
 	// with a Retry-After hint instead of blocking (0 = 64).
 	QueueDepth int
-	// ShedWatermark is the queue depth at or above which background
-	// requests are shed even though interactive ones still fit — the
-	// load-shedding watermark that keeps sweeps from starving
-	// interactive traffic (0 = QueueDepth/2; negative disables early
-	// shedding).
-	ShedWatermark int
 	// CacheSize is the result cache's capacity in entries, evicted by
 	// SIEVE (0 = 128; negative disables caching).
 	CacheSize int
-	// MaxTimeout caps every request's routing deadline; requests may ask
-	// for less via timeoutMs but never more (0 = 2m).
+	// MaxTimeout is the routing deadline of every execution (0 = 2m).
 	MaxTimeout time.Duration
 	// Verify runs the independent checker (internal/verify) on every
 	// cache miss before the result is admitted to the cache, so a cached
@@ -91,12 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.ShedWatermark == 0 {
-		c.ShedWatermark = c.QueueDepth / 2
-	}
-	if c.ShedWatermark < 0 || c.ShedWatermark > c.QueueDepth {
-		c.ShedWatermark = c.QueueDepth
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 128
@@ -175,7 +161,7 @@ type call struct {
 type instruments struct {
 	requests, hits, misses, coalesced  *obs.Counter
 	shed, badRequests, routeErrors     *obs.Counter
-	verifyFails, batches, panics       *obs.Counter
+	verifyFails, panics                *obs.Counter
 	snapSaves, snapLoaded, snapRejects *obs.Counter
 	peekHits, peekMisses               *obs.Counter
 	depth, inflight, cacheEntries      *obs.Gauge
@@ -185,16 +171,15 @@ type instruments struct {
 func newInstruments(r *obs.Registry) *instruments {
 	msBuckets := obs.ExpBuckets(0.25, 2, 18) // 0.25 ms … ~32 s
 	return &instruments{
-		requests:     r.Counter("serve_requests_total", "route requests received (including batch items)"),
+		requests:     r.Counter("serve_requests_total", "route requests received"),
 		hits:         r.Counter("serve_cache_hits_total", "requests answered from the result cache"),
 		misses:       r.Counter("serve_cache_misses_total", "requests that led a fresh routing execution"),
 		coalesced:    r.Counter("serve_coalesced_total", "requests that joined an identical in-flight execution"),
-		shed:         r.Counter("serve_shed_total", "requests shed with 429 (queue full or watermark)"),
+		shed:         r.Counter("serve_shed_total", "requests shed with 429 (queue full)"),
 		badRequests:  r.Counter("serve_bad_requests_total", "malformed or invalid requests (400)"),
 		routeErrors:  r.Counter("serve_route_errors_total", "routing executions that failed"),
 		verifyFails:  r.Counter("serve_verify_failures_total", "independent-verifier rejections of routed results"),
-		batches:      r.Counter("serve_batch_total", "batch requests received"),
-		panics:       r.Counter("serve_panics_total", "panics recovered into typed 500s (execution, batch item, or handler)"),
+		panics:       r.Counter("serve_panics_total", "panics recovered into typed 500s (execution or handler)"),
 		snapSaves:    r.Counter("serve_snapshot_saves_total", "cache snapshots written (periodic + on-drain)"),
 		snapLoaded:   r.Counter("serve_snapshot_loaded_total", "cache entries restored from the start-time snapshot"),
 		snapRejects:  r.Counter("serve_snapshot_rejected_total", "snapshot entries discarded by load-time verification"),
@@ -278,8 +263,8 @@ type submitInfo struct {
 	coalesced bool
 }
 
-// submit is the request path shared by the route and batch handlers:
-// cache lookup, singleflight join, admission with backpressure, then wait.
+// submit is the route handler's request path: cache lookup, singleflight
+// join, admission with backpressure, then wait.
 // ctx is the caller's (client-connection) context: its cancellation stops
 // the wait, and when the last waiter of an execution leaves, the execution
 // itself is canceled.
@@ -312,15 +297,10 @@ func (s *Server) submit(ctx context.Context, rr *Resolved) (*RouteResult, submit
 }
 
 // joinOrLead attaches to an identical in-flight execution or, atomically
-// with the check, admits a new one. Returning an error means the request
-// was refused (draining, queue full, or watermark shed) without any
-// execution existing for it.
+// with the check, admits a new one under the server's routing deadline.
+// Returning an error means the request was refused (draining or queue
+// full) without any execution existing for it.
 func (s *Server) joinOrLead(rr *Resolved, digest string) (*call, bool, error) {
-	timeout := s.cfg.MaxTimeout
-	if rr.Timeout > 0 && rr.Timeout < timeout {
-		timeout = rr.Timeout
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.flight[digest]; ok {
@@ -330,13 +310,7 @@ func (s *Server) joinOrLead(rr *Resolved, digest string) (*call, bool, error) {
 	if s.draining {
 		return nil, false, ErrDraining
 	}
-	depth := len(s.queue)
-	if rr.Background && depth >= s.cfg.ShedWatermark {
-		s.inst.shed.Inc()
-		return nil, false, fmt.Errorf("%w: background request above watermark (queue %d/%d)",
-			ErrOverloaded, depth, s.cfg.QueueDepth)
-	}
-	jctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	jctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.MaxTimeout)
 	c := &call{digest: digest, done: make(chan struct{}), cancel: cancel, waiters: 1}
 	j := &job{rr: rr, call: c, ctx: jctx, enqueuedAt: time.Now()}
 	select {
@@ -555,7 +529,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // routeResolved is the production routing execution: synthesize the
 // benchmark, apply any stream override, materialize the controller, build
-// the design (activity-table scan) and route under the job context.
+// the design (activity-table scan), route under the job context, and keep
+// the wire subset of the report and stats.
 func routeResolved(ctx context.Context, rr *Resolved, opts gatedclock.Options) (*RouteResult, error) {
 	b, err := bench.Generate(rr.Cfg)
 	if err != nil {
@@ -577,9 +552,27 @@ func routeResolved(ctx context.Context, rr *Resolved, opts gatedclock.Options) (
 	if err != nil {
 		return nil, err
 	}
+	rep, st := res.Report, res.Stats
 	return &RouteResult{
 		TreeDigest: res.Tree.Digest(),
-		Report:     res.Report,
-		Stats:      res.Stats,
+		Report: RouteReport{
+			TotalSC:         rep.TotalSC,
+			ClockSC:         rep.ClockSC,
+			CtrlSC:          rep.CtrlSC,
+			UngatedSC:       rep.UngatedSC,
+			ClockWirelength: rep.ClockWirelength,
+			StarWirelength:  rep.StarWirelength,
+			Gates:           rep.NumGates,
+			Buffers:         rep.NumBuffers,
+			MaxDelayPs:      rep.MaxDelayPs,
+			SkewPs:          rep.SkewPs,
+		},
+		Stats: RouteStats{
+			Merges:           st.Merges,
+			Snakes:           st.Snakes,
+			PairEvals:        st.PairEvals,
+			PairEvalsSkipped: st.PairEvalsSkipped,
+			PairEvalsCached:  st.PairEvalsCached,
+		},
 	}, nil
 }

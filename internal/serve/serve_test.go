@@ -88,9 +88,6 @@ func TestRealRouteEndToEnd(t *testing.T) {
 	if len(resp.TreeDigest) != 64 || len(resp.Digest) != 64 {
 		t.Errorf("digests not hex sha256: tree %q req %q", resp.TreeDigest, resp.Digest)
 	}
-	if got := rec.Header().Get("ETag"); got != `"`+resp.Digest+`"` {
-		t.Errorf("ETag %q does not quote the request digest", got)
-	}
 
 	// Second identical request: a cache hit with the bit-identical tree.
 	resp2 := decodeResp(t, post(h, "/v1/route", testBody))
@@ -100,17 +97,8 @@ func TestRealRouteEndToEnd(t *testing.T) {
 	if resp2.TreeDigest != resp.TreeDigest {
 		t.Errorf("cache hit tree digest %s != original %s", resp2.TreeDigest, resp.TreeDigest)
 	}
-	if resp2.Report != resp.Report || resp2.Stats != resp.Stats {
-		t.Error("cached report/stats differ from the original result")
-	}
-
-	// Conditional request: If-None-Match on a hit answers 304.
-	req := httptest.NewRequest(http.MethodPost, "/v1/route", strings.NewReader(testBody))
-	req.Header.Set("If-None-Match", `"`+resp.Digest+`"`)
-	rec3 := httptest.NewRecorder()
-	h.ServeHTTP(rec3, req)
-	if rec3.Code != http.StatusNotModified {
-		t.Errorf("If-None-Match hit answered %d, want 304", rec3.Code)
+	if resp2.RouteResult != resp.RouteResult {
+		t.Error("cached result differs from the original one")
 	}
 }
 
@@ -228,52 +216,6 @@ func TestQueueFullSheds429(t *testing.T) {
 	}
 	if got := s.inst.shed.Value(); got != 1 {
 		t.Errorf("serve_shed_total %d, want 1", got)
-	}
-
-	close(release)
-	wg.Wait()
-}
-
-// TestWatermarkShedsBackground: above the watermark, background requests
-// are refused while interactive ones still queue.
-func TestWatermarkShedsBackground(t *testing.T) {
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueDepth: 8, ShedWatermark: 1, route: func(ctx context.Context, rr *Resolved, opts gatedclock.Options) (*RouteResult, error) {
-		started <- struct{}{}
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return fakeRoute(ctx, rr, opts)
-	}})
-	defer shutdownOrFail(t, s)
-	h := s.Handler()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); post(h, "/v1/route", distinctBody(1)) }()
-	<-started
-	wg.Add(1)
-	go func() { defer wg.Done(); post(h, "/v1/route", distinctBody(2)) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Depth (1) is at the watermark: background work is shed…
-	bg := post(h, "/v1/route", `{"config":{"numSinks":12,"seed":3},"background":true}`)
-	if bg.Code != http.StatusTooManyRequests {
-		t.Errorf("background request above watermark answered %d, want 429", bg.Code)
-	}
-	// …while interactive work still queues.
-	wg.Add(1)
-	go func() { defer wg.Done(); post(h, "/v1/route", distinctBody(4)) }()
-	for s.QueueDepth() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.QueueDepth() != 2 {
-		t.Error("interactive request was not admitted below capacity")
 	}
 
 	close(release)
@@ -428,23 +370,23 @@ func TestClientDisconnectCancelsExecution(t *testing.T) {
 	}
 }
 
-// TestPerRequestDeadline: a request-level timeoutMs bounds the route and
-// surfaces as 504.
+// TestPerRequestDeadline: the server's MaxTimeout bounds every route, and
+// an execution that outlives it surfaces as 504.
 func TestPerRequestDeadline(t *testing.T) {
-	s := New(Config{Workers: 1, route: func(ctx context.Context, rr *Resolved, opts gatedclock.Options) (*RouteResult, error) {
+	s := New(Config{Workers: 1, MaxTimeout: 10 * time.Millisecond, route: func(ctx context.Context, rr *Resolved, opts gatedclock.Options) (*RouteResult, error) {
 		<-ctx.Done()
 		return nil, fmt.Errorf("%w: %w", gatedclock.ErrCanceled, ctx.Err())
 	}})
 	defer shutdownOrFail(t, s)
-	rec := post(s.Handler(), "/v1/route",
-		`{"config":{"numSinks":12,"seed":1},"timeoutMs":10}`)
+	rec := post(s.Handler(), "/v1/route", `{"config":{"numSinks":12,"seed":1}}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out request answered %d (%s), want 504", rec.Code, rec.Body.String())
 	}
 }
 
-// TestBadRequests: malformed inputs answer 400 with a typed kind, before
-// any queueing.
+// TestBadRequests: malformed inputs — retired fields among them — answer
+// 400 with a typed kind, before any queueing; the retired batch endpoint
+// answers 404.
 func TestBadRequests(t *testing.T) {
 	s := New(Config{Workers: 1, route: fakeRoute})
 	defer shutdownOrFail(t, s)
@@ -458,7 +400,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", `{"benchmark":"r1","controlers":2}`},
 		{"bad mode", `{"benchmark":"r1","mode":"turbo"}`},
 		{"controllers not power of two", `{"benchmark":"r1","controllers":3}`},
-		{"negative timeout", `{"benchmark":"r1","timeoutMs":-5}`},
+		{"retired timeoutMs", `{"benchmark":"r1","timeoutMs":500}`},
+		{"retired background", `{"benchmark":"r1","background":true}`},
 		{"trailing garbage", `{"benchmark":"r1"} extra`},
 		{"syntax error", `{"benchmark":`},
 		{"zero sinks", `{"config":{"numSinks":0}}`},
@@ -477,51 +420,11 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
+	if rec := post(h, "/v1/route/batch", "["+testBody+"]"); rec.Code != http.StatusNotFound {
+		t.Errorf("POST /v1/route/batch answered %d, want 404", rec.Code)
+	}
 	if got := s.inst.requests.Value(); got != 0 {
 		t.Errorf("bad requests reached submit: serve_requests_total %d, want 0", got)
-	}
-}
-
-// TestBatch: one batch mixing identical, distinct and invalid items is
-// answered per item, and the identical items coalesce into one execution.
-func TestBatch(t *testing.T) {
-	var executions atomic.Int64
-	release := make(chan struct{})
-	var once sync.Once
-	s := New(Config{Workers: 2, route: func(ctx context.Context, rr *Resolved, opts gatedclock.Options) (*RouteResult, error) {
-		executions.Add(1)
-		once.Do(func() { close(release) })
-		<-release
-		return fakeRoute(ctx, rr, opts)
-	}})
-	defer shutdownOrFail(t, s)
-
-	batch := fmt.Sprintf(`[%s,%s,%s,{"benchmark":"r99"}]`, testBody, testBody, distinctBody(42))
-	rec := post(s.Handler(), "/v1/route/batch", batch)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch status %d: %s", rec.Code, rec.Body.String())
-	}
-	var items []BatchItem
-	if err := json.Unmarshal(rec.Body.Bytes(), &items); err != nil {
-		t.Fatalf("batch body: %v", err)
-	}
-	if len(items) != 4 {
-		t.Fatalf("batch answered %d items, want 4", len(items))
-	}
-	if items[0].Status != 200 || items[1].Status != 200 || items[2].Status != 200 {
-		t.Fatalf("valid items got %d/%d/%d", items[0].Status, items[1].Status, items[2].Status)
-	}
-	if items[3].Status != 400 {
-		t.Errorf("invalid item got %d, want 400", items[3].Status)
-	}
-	if items[0].Response.TreeDigest != items[1].Response.TreeDigest {
-		t.Error("identical batch items returned different trees")
-	}
-	// The two identical items ran at most one execution (one may also have
-	// hit the cache if scheduling serialized them); the distinct one ran
-	// its own.
-	if got := executions.Load(); got > 2 {
-		t.Errorf("%d executions for 2 unique valid items", got)
 	}
 }
 

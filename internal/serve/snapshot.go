@@ -20,11 +20,12 @@ import (
 // flipped bit in a snapshot degrades one cache entry, never the daemon.
 // Writes go to a temp file in the same directory and are renamed into
 // place, so a crash mid-write leaves the previous snapshot intact. The
-// version changes whenever the entry encoding does (core.Stats included),
-// so a stale file is refused whole at its header, not entry by entry.
+// version changes whenever the entry encoding does, so a stale file is
+// refused whole at its header, not entry by entry. v3: an entry's result
+// is the wire RouteResult (v1 and v2 carried power.Report and core.Stats).
 const (
 	snapshotMagic   = "gcr-cache-snapshot"
-	snapshotVersion = 2
+	snapshotVersion = 3
 )
 
 type snapHeader struct {
@@ -71,17 +72,17 @@ func isHexDigest(s string) bool {
 func encodeSnapshot(entries []cacheEntry) ([]byte, error) {
 	lines := make([][]byte, 0, len(entries)+1)
 	for _, e := range entries {
-		if e.res == nil {
+		if e.Value == nil {
 			continue
 		}
-		resJSON, err := json.Marshal(*e.res)
+		resJSON, err := json.Marshal(*e.Value)
 		if err != nil {
 			continue
 		}
 		line, err := json.Marshal(snapEntry{
-			Digest:   e.digest,
-			Checksum: entryChecksum(e.digest, resJSON),
-			Result:   *e.res,
+			Digest:   e.Key,
+			Checksum: entryChecksum(e.Key, resJSON),
+			Result:   *e.Value,
 		})
 		if err != nil {
 			continue
@@ -146,7 +147,7 @@ func decodeSnapshot(data []byte) (entries []cacheEntry, rejected int, err error)
 			continue
 		}
 		res := e.Result
-		entries = append(entries, cacheEntry{digest: e.Digest, res: &res})
+		entries = append(entries, cacheEntry{Key: e.Digest, Value: &res})
 	}
 	// Truncation counts as loss too, but only the shortfall not already
 	// accounted to a per-entry rejection.
@@ -165,7 +166,7 @@ func (s *Server) SaveSnapshot() error {
 	if path == "" {
 		return fmt.Errorf("serve: no snapshot path configured")
 	}
-	data, err := encodeSnapshot(entriesOldestFirst(s.cache))
+	data, err := encodeSnapshot(s.cache.EntriesOldestFirst())
 	if err != nil {
 		return fmt.Errorf("serve: encode snapshot: %w", err)
 	}
@@ -206,8 +207,8 @@ func (s *Server) loadSnapshot() {
 		s.inst.snapRejects.Inc()
 		return
 	}
-	for i := range entries {
-		s.cache.Add(entries[i].digest, entries[i].res)
+	for _, e := range entries {
+		s.cache.Add(e.Key, e.Value)
 	}
 	s.inst.snapLoaded.Add(int64(len(entries)))
 	s.inst.snapRejects.Add(int64(rejected))

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	gatedclock "repro"
+	"repro/internal/core"
+	"repro/internal/power"
 )
 
 // hexRoute is a fake route whose TreeDigest has the real pipeline's shape
@@ -37,7 +39,7 @@ func snapEntries(n int) []cacheEntry {
 	for i := range out {
 		res := &RouteResult{TreeDigest: hexDigest("tree-" + string(rune('a'+i))), RouteMs: float64(i) + 0.5}
 		res.Report.TotalSC = 10.0 * float64(i+1)
-		out[i] = cacheEntry{digest: hexDigest("req-" + string(rune('a'+i))), res: res}
+		out[i] = cacheEntry{Key: hexDigest("req-" + string(rune('a'+i))), Value: res}
 	}
 	return out
 }
@@ -70,10 +72,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d entries, want %d", len(got), len(entries))
 	}
 	for i := range got {
-		if got[i].digest != entries[i].digest {
-			t.Fatalf("entry %d: digest %s, want %s (order not preserved)", i, got[i].digest, entries[i].digest)
+		if got[i].Key != entries[i].Key {
+			t.Fatalf("entry %d: digest %s, want %s (order not preserved)", i, got[i].Key, entries[i].Key)
 		}
-		if *got[i].res != *entries[i].res {
+		if *got[i].Value != *entries[i].Value {
 			t.Fatalf("entry %d: result drifted across the round trip", i)
 		}
 	}
@@ -87,28 +89,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotRejectsBadHeader: garbage, wrong magic, future versions and
-// a version-1 file reject the whole file with an error (never a panic,
-// never partial trust).
+// version-1 and version-2 files reject the whole file with an error (never
+// a panic, never partial trust).
 func TestSnapshotRejectsBadHeader(t *testing.T) {
 	valid, _ := encodeSnapshot(snapEntries(1))
 	lines := bytes.SplitN(valid, []byte{'\n'}, 2)
-	// A version-1 entry, as written while core.Stats still carried
-	// Downgraded and DowngradeReason, checksummed over that encoding.
+	// Version-2 and version-1 entries, as written while a cached result
+	// embedded power.Report and core.Stats (v1's Stats also carried
+	// Downgraded and DowngradeReason), each checksummed over its own
+	// encoding.
 	e := snapEntries(1)[0]
-	resJSON, _ := json.Marshal(*e.res)
-	v1JSON := bytes.Replace(resJSON, []byte(`"PhaseEmbed":0`),
+	v2JSON, _ := json.Marshal(struct {
+		TreeDigest string
+		Report     power.Report
+		Stats      core.Stats
+		RouteMs    float64
+	}{TreeDigest: e.Value.TreeDigest, RouteMs: e.Value.RouteMs})
+	v1JSON := bytes.Replace(v2JSON, []byte(`"PhaseEmbed":0`),
 		[]byte(`"PhaseEmbed":0,"Downgraded":false,"DowngradeReason":""`), 1)
-	if bytes.Equal(v1JSON, resJSON) {
+	if bytes.Equal(v1JSON, v2JSON) {
 		t.Fatal("test setup: no PhaseEmbed field in the encoded Stats")
 	}
-	v1Entry := fmt.Sprintf(`{"digest":%q,"checksum":%q,"result":%s}`,
-		e.digest, entryChecksum(e.digest, v1JSON), v1JSON)
+	oldFile := func(version int, resJSON []byte) []byte {
+		return []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"entries":1}`+"\n"+`{"digest":%q,"checksum":%q,"result":%s}`+"\n",
+			snapshotMagic, version, e.Key, entryChecksum(e.Key, resJSON), resJSON))
+	}
 	for name, data := range map[string][]byte{
 		"empty":         nil,
 		"garbage":       []byte("not a snapshot\n"),
 		"wrong magic":   append([]byte(`{"magic":"other","version":1,"entries":1}`+"\n"), lines[1]...),
 		"wrong version": append([]byte(`{"magic":"`+snapshotMagic+`","version":99,"entries":1}`+"\n"), lines[1]...),
-		"version 1":     []byte(`{"magic":"` + snapshotMagic + `","version":1,"entries":1}` + "\n" + v1Entry + "\n"),
+		"version 1":     oldFile(1, v1JSON),
+		"version 2":     oldFile(2, v2JSON),
 	} {
 		if _, _, err := decodeSnapshot(data); err == nil {
 			t.Errorf("%s: decode accepted the file", name)
@@ -127,7 +139,7 @@ func TestSnapshotRejectsCorruptEntries(t *testing.T) {
 	// Tamper with entry 1's result in a way that still parses: the
 	// checksum re-verification against the re-marshaled result must catch
 	// the semantic edit.
-	tampered := strings.Replace(lines[2], `"RouteMs":1.5`, `"RouteMs":99`, 1)
+	tampered := strings.Replace(lines[2], `"routeMs":1.5`, `"routeMs":99`, 1)
 	if tampered == lines[2] {
 		t.Fatal("test setup: tamper target not found in encoded entry")
 	}
@@ -138,13 +150,13 @@ func TestSnapshotRejectsCorruptEntries(t *testing.T) {
 	if rejected != 1 || len(got) != 2 {
 		t.Fatalf("got %d entries / %d rejected, want 2 / 1", len(got), rejected)
 	}
-	if got[0].digest != entries[0].digest || got[1].digest != entries[2].digest {
+	if got[0].Key != entries[0].Key || got[1].Key != entries[2].Key {
 		t.Fatal("wrong entries survived the corruption")
 	}
 
 	// Non-hex digest: rejected even with a valid checksum.
 	bad := snapEntries(1)
-	bad[0].digest = "not-a-digest"
+	bad[0].Key = "not-a-digest"
 	badEnc, _ := encodeSnapshot(bad)
 	if got, rejected, err := decodeSnapshot(badEnc); err != nil || rejected != 1 || len(got) != 0 {
 		t.Fatalf("malformed digest: entries=%d rejected=%d err=%v, want 0/1/nil", len(got), rejected, err)
@@ -261,7 +273,7 @@ func FuzzCacheSnapshot(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte(fmt.Sprintf(`{"magic":"gcr-cache-snapshot","version":%d,"entries":0}`+"\n", snapshotVersion)))
 	f.Add([]byte("garbage\n\x00\xff"))
-	f.Add(bytes.Replace(valid, []byte(`"RouteMs"`), []byte(`"routems"`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"routeMs"`), []byte(`"routems"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, _, err := decodeSnapshot(data)
 		if err != nil {

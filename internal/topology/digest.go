@@ -23,7 +23,7 @@ func (t *Tree) Digest() string {
 
 // DigestInto streams the canonical serialization behind Digest into w,
 // letting callers fold the tree identity into a larger hash (for example a
-// response ETag combining request and result) without re-encoding.
+// key combining request and result) without re-encoding.
 func (t *Tree) DigestInto(w io.Writer) {
 	var buf [8]byte
 	writeU64 := func(v uint64) {
