@@ -15,7 +15,7 @@
 //	gcr -bench r1 -trace run.jsonl               # per-merge trace + flame summary
 //	gcr -bench r1 -metrics                       # Prometheus-style metrics dump
 //	gcr -bench r1 -manifest run.json             # reproducibility manifest
-//	gcr -bench r5 -pprof localhost:6060          # live pprof/expvar server
+//	gcr -bench r5 -pprof localhost:6060          # live pprof server
 //
 // Contradictory or malformed flag combinations are rejected before any work
 // starts, with exit status 2.
@@ -60,9 +60,9 @@ func main() {
 	spiceOut := flag.String("spice", "", "write a SPICE RC deck to this file")
 	svgOut := flag.String("svg", "", "write an SVG floorplan to this file")
 	traceOut := flag.String("trace", "", "write a JSONL span trace of the construction to this file and print a flame summary")
-	metricsDump := flag.Bool("metrics", false, "attach the process metrics registry to the run and dump it (Prometheus text format) on exit")
+	metricsDump := flag.Bool("metrics", false, "attach a fresh metrics registry to the run and dump it (Prometheus text format) on exit")
 	manifestOut := flag.String("manifest", "", "write a JSON run manifest (options, seed, durations, result digest) to this file")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (host:port) for the duration of the run")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (host:port) for the duration of the run")
 	flag.Parse()
 
 	cfg := runCfg{
@@ -216,11 +216,10 @@ func run(w io.Writer, cfg runCfg) error {
 			return err
 		}
 		defer ln.Close()
-		obs.Default().PublishExpvar("gatedclock")
 		srv := &http.Server{}
 		go srv.Serve(ln)
 		defer srv.Close()
-		fmt.Fprintf(w, "pprof/expvar server on http://%s/debug/pprof/\n", ln.Addr())
+		fmt.Fprintf(w, "pprof server on http://%s/debug/pprof/\n", ln.Addr())
 	}
 
 	var b *gatedclock.Benchmark
@@ -280,7 +279,7 @@ func run(w io.Writer, cfg runCfg) error {
 		opts.Tracer = tr
 	}
 	if cfg.metricsDump {
-		opts.Metrics = gatedclock.DefaultMetrics()
+		opts.Metrics = gatedclock.NewMetrics()
 	}
 
 	ctx := context.Background()
@@ -385,8 +384,8 @@ func run(w io.Writer, cfg runCfg) error {
 		}
 		fmt.Fprintf(w, "wrote run manifest to %s\n", cfg.manifestOut)
 	}
-	if cfg.metricsDump {
-		if err := gatedclock.DefaultMetrics().WriteProm(w); err != nil {
+	if opts.Metrics != nil {
+		if err := opts.Metrics.WriteProm(w); err != nil {
 			return err
 		}
 	}

@@ -150,16 +150,16 @@ func TestRunObservabilityOutputs(t *testing.T) {
 		t.Errorf("trace has %d merge / %d phase spans, want >0 / 3", merges, phases)
 	}
 
-	// Metrics dump: Prometheus text exposition with the core instruments,
-	// plus the power/verify/ctrl package instruments driven by the same run.
+	// Metrics dump: Prometheus text exposition of the run's own registry,
+	// which holds the core instruments and no last-route phase gauges.
 	dump := out.String()
-	for _, metric := range []string{
-		core.MetricMerges, core.MetricMergeCost,
-		"power_evaluations_total", "ctrl_controllers_built_total",
-	} {
+	for _, metric := range []string{core.MetricMerges, core.MetricMergeCost} {
 		if !strings.Contains(dump, "# TYPE "+metric+" ") {
 			t.Errorf("metrics dump missing %s", metric)
 		}
+	}
+	if strings.Contains(dump, "# TYPE core_phase_") {
+		t.Error("metrics dump carries a core_phase_ family")
 	}
 	for _, line := range strings.Split(dump, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {

@@ -15,7 +15,7 @@
 //	curl -s localhost:8080/v1/route -d '{"benchmark":"r1"}'
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/readyz
-//	curl -s localhost:8080/metrics
+//	curl -s localhost:8080/metrics                  # this process's own registry
 //
 // With -cluster, gcrd runs as the routing cluster's front tier instead of
 // a shard: it consistent-hashes each request's canonical digest onto the
@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -213,7 +212,6 @@ func runShard(cfg *runCfg) error {
 		CacheSize:        cfg.cacheSize,
 		MaxTimeout:       cfg.timeout,
 		Verify:           cfg.verify,
-		Metrics:          obs.Default(),
 		Chaos:            chaos,
 		SnapshotPath:     cfg.snapshot,
 		SnapshotInterval: interval,
@@ -223,11 +221,9 @@ func runShard(cfg *runCfg) error {
 	if err != nil {
 		return fmt.Errorf("cannot listen on %s (port in use, or address not local?): %w", cfg.addr, err)
 	}
-	obs.Default().PublishExpvar("gatedclock")
-
 	srv := serve.New(scfg)
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	log.Printf("gcrd: serving on http://%s (POST /v1/route, /healthz, /readyz, /metrics, /debug/vars)", ln.Addr())
+	log.Printf("gcrd: serving on http://%s (POST /v1/route, /healthz, /readyz, /metrics)", ln.Addr())
 	if scfg.SnapshotPath != "" {
 		log.Printf("gcrd: cache snapshot at %s (watch /readyz for warming → ready)", scfg.SnapshotPath)
 	}
@@ -270,7 +266,6 @@ func runFront(cfg *runCfg) error {
 		L1Size:         cfg.cacheSize,
 		ProbeInterval:  cfg.probeInterval,
 		ForwardTimeout: cfg.timeout,
-		Metrics:        obs.Default(),
 	})
 	if err != nil {
 		return err

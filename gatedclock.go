@@ -106,11 +106,6 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer { return obs.NewJSONL(w) }
 // NewMetrics returns a fresh, empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// DefaultMetrics returns the process-wide registry the internal packages
-// (power, verify, ctrl) register their instruments on. Pass it as
-// Options.Metrics to collect the router's counters alongside them.
-func DefaultMetrics() *Metrics { return obs.Default() }
-
 // DefaultCorners returns the fast/nominal/slow corner set.
 func DefaultCorners() []Corner { return power.DefaultCorners() }
 

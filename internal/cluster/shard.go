@@ -131,11 +131,11 @@ func (s *shard) peek(ctx context.Context, digest string) *serve.RouteResult {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	var entry serve.CacheEntryResponse
-	if json.Unmarshal(data, &entry) != nil || entry.Result.TreeDigest == "" {
+	var res serve.RouteResult
+	if json.Unmarshal(data, &res) != nil || res.TreeDigest == "" {
 		return nil
 	}
-	return &entry.Result
+	return &res
 }
 
 // scrapeSnapshot pulls the shard's obs snapshot (GET /metrics.json) for

@@ -175,8 +175,8 @@ type Options struct {
 	Tracer obs.Tracer
 	// Metrics, when non-nil, is the registry the router updates with the
 	// core instrument set (merge counters, merge-cost histogram, heap
-	// depth, cache hit/skip/eval, phase timings). nil disables metrics at
-	// zero cost.
+	// high-water mark, cache hit/skip/eval, index counters). nil disables
+	// metrics at zero cost.
 	Metrics *obs.Registry
 }
 

@@ -16,20 +16,18 @@ import (
 	"repro/internal/topology"
 )
 
-// Core instrument names, as they appear in -metrics dumps and on
-// /debug/vars. Exported so tests and the CLI reference one spelling.
+// Core instrument names, as they appear in -metrics dumps and on a
+// server's /metrics. Exported so tests and the CLI reference one spelling.
+// Each aggregates across the routes sharing a registry; per-route values
+// (phase times, neighborhood quantiles) live in Stats and the spans.
 const (
-	MetricMerges       = "core_merges_total"
-	MetricSnakes       = "core_snakes_total"
-	MetricPairEvals    = "core_pair_evals_total"
-	MetricPairCached   = "core_pair_evals_cached_total"
-	MetricPairSkipped  = "core_pair_evals_skipped_total"
-	MetricMergeCost    = "core_merge_cost_ff"
-	MetricHeapLen      = "core_heap_len"
-	MetricHeapLenMax   = "core_heap_len_max"
-	MetricPhaseInitNs  = "core_phase_init_ns"
-	MetricPhaseGreedNs = "core_phase_greedy_ns"
-	MetricPhaseEmbedNs = "core_phase_embed_ns"
+	MetricMerges      = "core_merges_total"
+	MetricSnakes      = "core_snakes_total"
+	MetricPairEvals   = "core_pair_evals_total"
+	MetricPairCached  = "core_pair_evals_cached_total"
+	MetricPairSkipped = "core_pair_evals_skipped_total"
+	MetricMergeCost   = "core_merge_cost_ff"
+	MetricHeapLenMax  = "core_heap_len_max"
 
 	MetricMemoStores  = "core_pair_memo_stores_total"
 	MetricIdxSearches = "core_index_searches_total"
@@ -37,8 +35,6 @@ const (
 	MetricIdxRegions  = "core_index_regions_visited_total"
 	MetricIdxRebuilds = "core_index_rebuilds_total"
 	MetricIdxNeighb   = "core_index_neighborhood_size"
-	MetricIdxNeighP50 = "core_index_neighborhood_p50"
-	MetricIdxNeighP90 = "core_index_neighborhood_p90"
 )
 
 // coreInstruments caches the registry lookups for one routing run so the
@@ -53,12 +49,8 @@ type coreInstruments struct {
 	idxCands, idxRegions *obs.Counter
 	idxRebuilds          *obs.Counter
 	idxNeighb            *obs.Histogram
-	idxNeighP50          *obs.Gauge
-	idxNeighP90          *obs.Gauge
 	mergeCost            *obs.Histogram
-	heapLen, heapLenMax  *obs.Gauge
-	phaseInit, phaseGrdy *obs.Gauge
-	phaseEmbed           *obs.Gauge
+	heapLenMax           *obs.Gauge
 }
 
 // newCoreInstruments registers (or finds) the core instruments on reg.
@@ -81,17 +73,9 @@ func newCoreInstruments(reg *obs.Registry) *coreInstruments {
 			"spatial-grid rebuilds (active set halved, or a new nearest-neighbour round)"),
 		idxNeighb: reg.Histogram(MetricIdxNeighb,
 			"candidates examined per spatial-index search", obs.ExpBuckets(1, 2, 12)),
-		idxNeighP50: reg.Gauge(MetricIdxNeighP50,
-			"p50 candidates per spatial-index search, latest run (log2-bucket upper bound)"),
-		idxNeighP90: reg.Gauge(MetricIdxNeighP90,
-			"p90 candidates per spatial-index search, latest run (log2-bucket upper bound)"),
 		mergeCost: reg.Histogram(MetricMergeCost, "Equation-3 switched-capacitance cost of selected merges (fF)",
 			obs.ExpBuckets(1, 2, 24)),
-		heapLen:    reg.Gauge(MetricHeapLen, "lazy-deletion pair-heap length after the latest merge"),
 		heapLenMax: reg.Gauge(MetricHeapLenMax, "maximum pair-heap length seen"),
-		phaseInit:  reg.Gauge(MetricPhaseInitNs, "wall time of the initial best-partner scan (ns)"),
-		phaseGrdy:  reg.Gauge(MetricPhaseGreedNs, "wall time of the greedy merge loop (ns)"),
-		phaseEmbed: reg.Gauge(MetricPhaseEmbedNs, "wall time of embedding and validation (ns)"),
 	}
 }
 
@@ -109,7 +93,6 @@ func (r *router) observeMerge(start time.Time, a, b, k *topology.Node, cost floa
 	}
 	if r.inst != nil {
 		r.inst.mergeCost.Observe(cost)
-		r.inst.heapLen.Set(int64(heapDepth))
 		r.inst.heapLenMax.SetMax(int64(heapDepth))
 	}
 	if r.tracer == nil {
@@ -161,7 +144,7 @@ func (r *router) observePhase(name string, start time.Time, dur time.Duration) {
 	if r.tracer == nil {
 		return
 	}
-	r.tracer.Span(obs.Span{Kind: obs.SpanPhase, Name: name, Start: start, Dur: dur, HeapDepth: -1})
+	r.tracer.Span(obs.Span{Kind: obs.SpanPhase, Name: name, Start: start, Dur: dur})
 }
 
 // flushInstruments folds one finished (or failed) construction's Stats
@@ -181,11 +164,4 @@ func (r *router) flushInstruments(s Stats) {
 	r.inst.idxCands.Add(int64(s.IndexCandidates))
 	r.inst.idxRegions.Add(int64(s.IndexRegionsVisited))
 	r.inst.idxRebuilds.Add(int64(s.IndexRebuilds))
-	if s.IndexSearches > 0 {
-		r.inst.idxNeighP50.Set(int64(s.NeighborhoodQuantile(0.5)))
-		r.inst.idxNeighP90.Set(int64(s.NeighborhoodQuantile(0.9)))
-	}
-	r.inst.phaseInit.Set(s.PhaseInit.Nanoseconds())
-	r.inst.phaseGrdy.Set(s.PhaseGreedy.Nanoseconds())
-	r.inst.phaseEmbed.Set(s.PhaseEmbed.Nanoseconds())
 }

@@ -25,9 +25,6 @@ type Controller struct {
 // Centralized returns the single-controller configuration of §2: one
 // controller at the chip center.
 func Centralized(die geom.Rect) *Controller {
-	i := instruments()
-	i.built.Inc()
-	i.partitions.SetMax(1)
 	return &Controller{Die: die, Partitions: []geom.Rect{die}, Centers: []geom.Point{die.Center()}}
 }
 
@@ -56,9 +53,6 @@ func Distributed(die geom.Rect, k int) (*Controller, error) {
 	for _, r := range parts {
 		c.Centers = append(c.Centers, r.Center())
 	}
-	i := instruments()
-	i.built.Inc()
-	i.partitions.SetMax(int64(k))
 	return c, nil
 }
 

@@ -425,7 +425,7 @@ type ComplexityRow struct {
 	Merges    int
 	Snakes    int
 	Seconds   float64
-	InitSec   float64 // initial all-pairs scan
+	InitSec   float64 // initial best-partner scan
 	GreedySec float64 // merge loop
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -252,21 +251,8 @@ func NewRegistry() *Registry {
 	}
 }
 
-var (
-	defaultOnce sync.Once
-	defaultReg  *Registry
-)
-
-// Default returns the process-wide registry. The core, power, verify and
-// ctrl packages register their instruments here; gcr passes it into the
-// router and dumps it with -metrics.
-func Default() *Registry {
-	defaultOnce.Do(func() { defaultReg = NewRegistry() })
-	return defaultReg
-}
-
 // checkKind records name's kind on first registration and panics on a
-// conflicting re-registration — a programmer error, like expvar.Publish.
+// conflicting re-registration — a programmer error.
 func (r *Registry) checkKind(name string, k Kind, help string) {
 	if prev, ok := r.kinds[name]; ok {
 		if prev != k {
@@ -338,7 +324,7 @@ type bucketWire struct {
 }
 
 // MarshalJSON encodes the bound as a string, "+Inf" for the overflow
-// bucket — without this the expvar/JSON encodings of any histogram-bearing
+// bucket — without this the JSON encoding of any histogram-bearing
 // snapshot would fail outright on the unencodable infinity.
 func (b BucketCount) MarshalJSON() ([]byte, error) {
 	le := "+Inf"
@@ -542,15 +528,4 @@ func writeSnapshotProm(w io.Writer, snap Snapshot, help map[string]string) error
 		}
 	}
 	return nil
-}
-
-// PublishExpvar exposes the registry as one expvar variable (a JSON
-// snapshot) under the given name, e.g. on /debug/vars when an HTTP server
-// with the expvar handler is running. Publishing the same name twice is a
-// no-op instead of the expvar panic.
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

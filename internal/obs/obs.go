@@ -3,7 +3,7 @@
 //
 // The package is deliberately zero-dependency (standard library only) and
 // imports nothing from the rest of the repository, so every layer — core,
-// power, verify, ctrl, the CLI and the examples — can report through it
+// serve, cluster, the CLI and the examples — can report through it
 // without cycles.
 //
 // Three concerns, three files:
@@ -15,9 +15,10 @@
 //     are written so the disabled path performs no allocations.
 //   - metrics.go: Counter/Gauge/Histogram instruments on a Registry,
 //     updated with single atomic operations (the registry lock is taken
-//     only at registration), exported as an expvar variable and as a
-//     Prometheus-style text dump, and mergeable across workers through
-//     Snapshot.
+//     only at registration), exported as a Prometheus-style text dump
+//     and as a JSON Snapshot that merges across processes. There is no
+//     process-wide registry: every instrument lives on the Registry its
+//     caller passed in.
 //   - manifest.go: the per-run JSON manifest (inputs, options, durations,
 //     result digest) the gcr command emits for reproducibility.
 package obs

@@ -278,13 +278,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "").Inc()
-	r.PublishExpvar("obs_test_metrics")
-	r.PublishExpvar("obs_test_metrics") // second publish must not panic
-}
-
 // BenchmarkCounterAdd measures the hot-path instrument update.
 func BenchmarkCounterAdd(b *testing.B) {
 	r := NewRegistry()

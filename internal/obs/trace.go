@@ -36,13 +36,13 @@ func (k SpanKind) String() string {
 // emitting a span never allocates on the emitter's side; whatever the
 // Tracer implementation does with it is the enabled path's own cost.
 //
-// Phase spans fill Kind, Name, Start and Dur. Merge spans additionally
-// carry the merge index (1-based), the IDs of the merged pair (A, B) and
-// of the new node (K), the Equation-3 cost the pair was selected at, the
-// snaking flag, and the candidate-lookup deltas since the previous merge
-// (pairs fully evaluated, served from the memo, pruned by the lower
-// bound). HeapDepth is the lazy-deletion heap length after the merge, −1
-// on the reference path, which has no heap.
+// Phase spans fill Kind, Name, Start and Dur and leave the rest zero.
+// Merge spans additionally carry the merge index (1-based), the IDs of
+// the merged pair (A, B) and of the new node (K), the Equation-3 cost the
+// pair was selected at, the snaking flag, the candidate-lookup deltas
+// since the previous merge (pairs fully evaluated, served from the memo,
+// pruned by the lower bound) and HeapDepth, the lazy-deletion pair
+// heap's length after the merge.
 type Span struct {
 	Kind  SpanKind
 	Name  string

@@ -63,12 +63,6 @@ func (r Report) GateReduction() float64 {
 // has no masking gates (the star terms are then zero).
 func Evaluate(t *topology.Tree, c *ctrl.Controller, p tech.Params) Report {
 	r := Report{NumSinks: t.NumSinks()}
-	defer func() {
-		i := instruments()
-		i.evaluations.Inc()
-		i.totalSC.Observe(r.TotalSC)
-	}()
-
 	r.ClockSC = switchedCap(t, p, false)
 	r.UngatedSC = switchedCap(t, p, true)
 	r.ClockWirelength = t.Wirelength()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,7 +70,6 @@ func BuildRouteResponse(rr *Resolved, digest string, cached, coalesced bool, res
 //	GET  /readyz             readiness: warming | ready | draining
 //	GET  /metrics            Prometheus text exposition of the registry
 //	GET  /metrics.json       the registry as one mergeable obs.Snapshot
-//	GET  /debug/vars         expvar (includes the registry snapshot)
 //
 // The whole mux is wrapped in panic isolation: a panic escaping any
 // handler answers that one request with a typed 500 instead of unwinding
@@ -84,20 +82,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	return s.recoverMiddleware(mux)
 }
 
-// CacheEntryResponse is the body of a GET /v1/cache/{digest} hit: the
-// cached RouteResult, so a peer-fetching front tier caches exactly what
-// the owning shard had.
-type CacheEntryResponse struct {
-	Digest string      `json:"digest"`
-	Result RouteResult `json:"result"`
-}
-
 // handleCachePeek answers a cache lookup by digest without ever routing: a
-// hit returns the stored result, a miss is a plain 404. This is the
+// hit returns the stored RouteResult itself, the shape the cache, the
+// snapshot and the cluster L1 hold, and a miss is a plain 404. This is the
 // shard-side half of the cluster's peer fetch — after a rebalance the new
 // owner's front tier asks the old owner's cache for the result by digest
 // before paying for a recompute. Peeking marks the entry visited, as any
@@ -116,7 +106,7 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.inst.peekHits.Inc()
-	writeJSON(w, http.StatusOK, &CacheEntryResponse{Digest: digest, Result: *res})
+	writeJSON(w, http.StatusOK, res)
 }
 
 // handleMetricsJSON exposes the registry as one mergeable obs.Snapshot —

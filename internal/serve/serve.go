@@ -37,8 +37,7 @@ type Config struct {
 	// entry is always a verified one.
 	Verify bool
 	// Metrics receives the serve_* instruments and the router's core
-	// instruments (nil = a fresh private registry; pass obs.Default() to
-	// share the process-wide one).
+	// instruments (nil = a fresh private registry).
 	Metrics *obs.Registry
 	// Tracer receives serve.queue/serve.route phase spans plus the
 	// router's construction spans (nil = disabled).

@@ -428,6 +428,46 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestCachePeek: a cache peek answers the bare RouteResult the route
+// response embedded, a miss or a malformed digest answers a typed error,
+// and the mux serves nothing beyond its listed endpoints.
+func TestCachePeek(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdownOrFail(t, s)
+	h := s.Handler()
+
+	resp := decodeResp(t, post(h, "/v1/route", testBody))
+	rec := get(h, "/v1/cache/"+resp.Digest)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("peek of a cached digest: status %d, body %s", rec.Code, rec.Body.String())
+	}
+	dec := json.NewDecoder(rec.Body)
+	dec.DisallowUnknownFields()
+	var got RouteResult
+	if err := dec.Decode(&got); err != nil {
+		t.Errorf("peek body is not a bare RouteResult: %v", err)
+	} else if got != resp.RouteResult {
+		t.Errorf("peek answered %+v, the route embedded %+v", got, resp.RouteResult)
+	}
+
+	for _, tc := range []struct {
+		path, kind string
+		code       int
+	}{
+		{"/v1/cache/" + strings.Repeat("0", 64), "not_found", http.StatusNotFound},
+		{"/v1/cache/not-a-digest", "bad_request", http.StatusBadRequest},
+	} {
+		rec := get(h, tc.path)
+		var er ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != tc.code || err != nil || er.Kind != tc.kind {
+			t.Errorf("GET %s answered %d %s, want %d kind=%s", tc.path, rec.Code, rec.Body.String(), tc.code, tc.kind)
+		}
+	}
+	if rec := get(h, "/debug/vars"); rec.Code != http.StatusNotFound {
+		t.Errorf("GET /debug/vars answered %d, want 404", rec.Code)
+	}
+}
+
 // TestCacheEviction: the cache holds at most CacheSize entries and evicts
 // the oldest unvisited one.
 func TestCacheEviction(t *testing.T) {

@@ -88,14 +88,7 @@ const (
 // activity sanity of a routed tree. skewBoundPs is the skew budget the tree
 // was routed under (0 = exact zero skew). The first violation found is
 // returned; nil means every invariant holds.
-func Tree(t *topology.Tree, p tech.Params, skewBoundPs float64) (err error) {
-	defer func() {
-		i := instruments()
-		i.treeChecks.Inc()
-		if err != nil {
-			i.failures.Inc()
-		}
-	}()
+func Tree(t *topology.Tree, p tech.Params, skewBoundPs float64) error {
 	if t == nil || t.Root == nil {
 		return violationf("topology", -1, "nil tree")
 	}
@@ -303,14 +296,7 @@ func checkActivity(root *topology.Node) error {
 // capacitances recomputed from scratch: an independent domain walk for
 // W(T), an independent star walk for W(S), and the W = W(T) + W(S) sum.
 // Device and sink counts are re-tallied as well.
-func Report(t *topology.Tree, c *ctrl.Controller, p tech.Params, rep power.Report) (err error) {
-	defer func() {
-		i := instruments()
-		i.reportChecks.Inc()
-		if err != nil {
-			i.failures.Inc()
-		}
-	}()
+func Report(t *topology.Tree, c *ctrl.Controller, p tech.Params, rep power.Report) error {
 	clock := domainSC(t, p)
 	if !closeRel(rep.ClockSC, clock) {
 		return violationf("power", -1, "W(T) reported %v, recomputed %v", rep.ClockSC, clock)
