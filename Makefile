@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-full bench bench-smoke perf-smoke race fuzz fuzz-index serve chaos-smoke cluster-smoke clean
+.PHONY: all build vet lint test test-full bench bench-smoke perf-smoke race fuzz fuzz-index serve chaos-smoke cluster-smoke examples clean
 
 # Default: build everything, lint, and run the fast test suite.
 all: build lint test
@@ -118,6 +118,15 @@ cluster-smoke:
 	$(GO) test -race -run 'TestClusterDrill|TestClusterWarmRestartPeerFetch' -count=1 ./internal/drill
 	$(GO) build -race -o bin/gcrd ./cmd/gcrd
 	$(GO) run -race ./examples/loadclient -cluster -shards 2 -gcrd bin/gcrd -n 300 -c 4 -json bin/BENCH_cluster.json
+
+# Runs every example but loadclient (the drill driver, which chaos-smoke
+# and cluster-smoke run). Each exits non-zero on an error or a failed
+# check, and the first failure stops the target: examples/distributed,
+# for one, checks its shared registry's core_merges_total against the
+# routes' summed Stats.Merges.
+EXAMPLES := quickstart distributed activitysweep cpudesign traceworkload
+examples:
+	@set -e; for ex in $(EXAMPLES); do echo "== examples/$$ex"; $(GO) run ./examples/$$ex; done
 
 clean:
 	$(GO) clean ./...

@@ -21,7 +21,8 @@
 // a shard: it consistent-hashes each request's canonical digest onto the
 // listed shard gcrds, keeps its own L1 result cache, forwards each L1 miss
 // to the owning shard (whose cache answers repeats), and aggregates the
-// shards' /metrics and /readyz:
+// shards' /readyz. Its /metrics carries only its own cluster_* series;
+// scrape each shard for serve_*:
 //
 //	gcrd -addr :8080 -cluster http://127.0.0.1:9101,http://127.0.0.1:9102
 //

@@ -1,10 +1,9 @@
 // distributed explores §6 of the paper: splitting the die into k partitions
 // with one gate controller each shrinks the enable star wiring by ≈ √k.
 // The example routes the same design under k = 1..16 controllers — one
-// worker goroutine per k, each with its own metrics registry — compares the
-// measured star wirelength against the paper's closed-form G·D/(4·√k)
-// model, and merges the per-worker registries into one fleet-wide snapshot,
-// the same aggregation a distributed routing farm would perform.
+// worker goroutine per k, all reporting into one shared metrics registry —
+// and compares the measured star wirelength against the paper's
+// closed-form G·D/(4·√k) model.
 package main
 
 import (
@@ -21,10 +20,9 @@ import (
 var ks = []int{1, 2, 4, 8, 16}
 
 type sweepResult struct {
-	k        int
-	report   gatedclock.Report
-	stats    gatedclock.Stats
-	snapshot gatedclock.MetricsSnapshot
+	k      int
+	report gatedclock.Report
+	stats  gatedclock.Stats
 }
 
 func main() {
@@ -43,8 +41,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Fan out: one worker per controller count, each routing with a private
-	// metrics registry so the workers never contend on instrument atomics.
+	// Fan out: one worker per controller count. A registry is safe for
+	// concurrent use, so every route counts into the same one.
+	reg := gatedclock.NewMetrics()
 	results := make([]sweepResult, len(ks))
 	errs := make([]error, len(ks))
 	var wg sync.WaitGroup
@@ -57,7 +56,6 @@ func main() {
 				errs[i] = err
 				return
 			}
-			reg := gatedclock.NewMetrics()
 			opts := gatedclock.GatedReducedOptions()
 			opts.Controller = c
 			opts.Metrics = reg
@@ -66,8 +64,7 @@ func main() {
 				errs[i] = err
 				return
 			}
-			results[i] = sweepResult{k: k, report: res.Report, stats: res.Stats,
-				snapshot: reg.Snapshot()}
+			results[i] = sweepResult{k: k, report: res.Report, stats: res.Stats}
 		}(i, k)
 	}
 	wg.Wait()
@@ -88,20 +85,15 @@ func main() {
 	}
 	fmt.Println("\nstar wiring shrinks roughly with √k, as §6 of the paper predicts")
 
-	// Merge the per-worker registries: counters and histogram buckets sum,
-	// gauges keep the fleet-wide maximum.
-	fleet := results[0].snapshot
-	for _, res := range results[1:] {
-		fleet.Merge(res.snapshot)
-	}
-	fmt.Printf("\naggregated construction metrics across %d workers:\n", len(ks))
-	names := make([]string, 0, len(fleet))
-	for name := range fleet {
+	snap := reg.Snapshot()
+	fmt.Printf("\nconstruction metrics of all %d routes, from the one shared registry:\n", len(ks))
+	names := make([]string, 0, len(snap))
+	for name := range snap {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		inst := fleet[name]
+		inst := snap[name]
 		if inst.Kind == obs.KindHistogram {
 			fmt.Printf("  %-32s count=%d sum=%.0f\n", name, inst.Count, inst.Sum)
 			continue
@@ -112,8 +104,8 @@ func main() {
 	for _, res := range results {
 		wantMerges += int64(res.stats.Merges)
 	}
-	if got := fleet[core.MetricMerges].Value; got != wantMerges {
-		log.Fatalf("aggregation lost work: %d merges in the fleet snapshot, workers did %d",
+	if got := snap[core.MetricMerges].Value; got != wantMerges {
+		log.Fatalf("the shared registry lost work: %d merges counted, workers did %d",
 			got, wantMerges)
 	}
 }

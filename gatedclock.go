@@ -92,9 +92,6 @@ type (
 	JSONLTracer = obs.JSONLTracer
 	// Metrics is a registry of counters/gauges/histograms (Options.Metrics).
 	Metrics = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry, mergeable
-	// across workers.
-	MetricsSnapshot = obs.Snapshot
 	// Manifest is the per-run provenance record (inputs, options, durations,
 	// result digest) the gcr command can emit.
 	Manifest = obs.Manifest

@@ -62,15 +62,8 @@ type Config struct {
 const (
 	// vnodes is the ring's virtual-node count per shard.
 	vnodes = 64
-	// peekTimeout bounds one cache peek, probe or metrics scrape.
+	// peekTimeout bounds one cache peek or probe.
 	peekTimeout = 2 * time.Second
-	// Each shard's forward client makes one attempt: the front tier's
-	// failover across shards is the retry policy, so worst-case latency
-	// stays additive. Its breaker opens after breakerThreshold consecutive
-	// failures and cools down for breakerCooldown; the prober, not a
-	// half-open probe, is the main recovery path, so the cooldown is short.
-	breakerThreshold = 3
-	breakerCooldown  = time.Second
 )
 
 func (c *Config) withDefaults() Config {
@@ -100,7 +93,6 @@ type instruments struct {
 	forwards, peerSweeps          *obs.Counter
 	failovers, noShards           *obs.Counter
 	rebalances, handbacks         *obs.Counter
-	scrapeErrors                  *obs.Counter
 	shardsSelectable, shardsReady *obs.Gauge
 	requestMs, forwardMs          *obs.Histogram
 }
@@ -147,7 +139,6 @@ func New(cfg Config) (*Router, error) {
 		noShards:         cfg.Metrics.Counter("cluster_no_shards_total", "requests refused with every shard unavailable"),
 		rebalances:       cfg.Metrics.Counter("cluster_rebalances_total", "shard transitions into down (keys moved to successors)"),
 		handbacks:        cfg.Metrics.Counter("cluster_handbacks_total", "shard recoveries (keys handed back to their owner)"),
-		scrapeErrors:     cfg.Metrics.Counter("cluster_scrape_errors_total", "failed shard metric scrapes during aggregation"),
 		shardsSelectable: cfg.Metrics.Gauge("cluster_shards_selectable", "shards currently accepting routed work"),
 		shardsReady:      cfg.Metrics.Gauge("cluster_shards_ready", "shards fully warm"),
 		requestMs:        cfg.Metrics.Histogram("cluster_request_ms", "front-tier request latency (ms)", obs.ExpBuckets(0.25, 2, 14)),
@@ -160,6 +151,10 @@ func New(cfg Config) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: shard %d: %q is not an absolute URL", i, raw)
 		}
+		// One attempt and no breaker: the front tier's failover across
+		// shards is the retry policy, so worst-case latency stays additive,
+		// and the shard state machine alone judges health — a shard's own
+		// 5xx passes through and never reads as a transport failure.
 		sh := &shard{
 			name: u.Host,
 			base: base,
@@ -167,9 +162,7 @@ func New(cfg Config) (*Router, error) {
 				Base:             base,
 				Transport:        cfg.Transport,
 				MaxAttempts:      1,
-				BreakerThreshold: breakerThreshold,
-				BreakerCooldown:  breakerCooldown,
-				Metrics:          obs.NewRegistry(),
+				BreakerThreshold: -1,
 			},
 			plain: &http.Client{Transport: cfg.Transport},
 		}

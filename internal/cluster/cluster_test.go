@@ -268,6 +268,24 @@ func TestClusterPassthrough(t *testing.T) {
 		}
 	})
 
+	t.Run("repeated 500s from a lone shard pass through and keep it ready", func(t *testing.T) {
+		// The only shard fails every route. Each answer is the shard's own,
+		// so none may read as a transport failure: no synthetic 503, no
+		// demotion, however many arrive in a row.
+		tc := newTestCluster(t, 1, nil, serve.Config{Chaos: serve.Chaos{Seed: 5, ErrorPeriod: 1}})
+		for i := 1; i <= 6; i++ {
+			rec, _ := tc.post(t, `{"benchmark":"r1"}`)
+			var eb serve.ErrorResponse
+			json.Unmarshal(rec.Body.Bytes(), &eb)
+			if rec.Code != http.StatusInternalServerError || eb.Kind != "injected" {
+				t.Fatalf("request %d: %d kind %q, want 500 injected: %s", i, rec.Code, eb.Kind, rec.Body.String())
+			}
+		}
+		if st := tc.rt.ShardStates()[0].State; st != "ready" {
+			t.Fatalf("shard %s after answering its own 500s, want ready", st)
+		}
+	})
+
 	t.Run("draining shard keeps kind and Retry-After", func(t *testing.T) {
 		// A shard mid-drain answers 503 kind=draining with a Retry-After.
 		// Without a probe the front tier still believes it selectable — the
@@ -400,35 +418,41 @@ func TestClusterReadyzAggregation(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsAggregation: /metrics merges the shards' serve_*
-// series with the front tier's cluster_* series, and a quiet cluster
-// scrapes byte-identically twice in a row — the aggregation itself is
-// deterministic.
-func TestClusterMetricsAggregation(t *testing.T) {
-	tc := newTestCluster(t, 3, nil, serve.Config{})
-	for i := 0; i < 6; i++ {
-		body := fmt.Sprintf(`{"config":{"numSinks":12,"seed":%d,"numInstr":6,"streamLen":100},"mode":"gated-red"}`, 600+i)
-		if rec, resp := tc.post(t, body); resp == nil {
-			t.Fatalf("route %d failed: %d", i, rec.Code)
-		}
+// TestClusterMetricsOwnRegistry: every tier exports its own registry and
+// nothing else. The front tier's /metrics carries its cluster_* series
+// with their help text and none of the shards' serve_* series, which a
+// Prometheus scraping the shards already has; neither tier serves
+// /metrics.json.
+func TestClusterMetricsOwnRegistry(t *testing.T) {
+	tc := newTestCluster(t, 2, nil, serve.Config{})
+	if rec, resp := tc.post(t, `{"benchmark":"r1"}`); resp == nil {
+		t.Fatalf("route failed: %d %s", rec.Code, rec.Body.String())
 	}
-	scrape := func() string {
-		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		tc.rt.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("/metrics answered %d", rec.Code)
-		}
-		return rec.Body.String()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
 	}
-	text := scrape()
-	for _, want := range []string{"cluster_requests_total 6", "serve_requests_total", "serve_route_ms", "cluster_shards_ready 3"} {
+	rec := get(tc.rt.Handler(), "/metrics")
+	text := rec.Body.String()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("front-tier /metrics answered %d", rec.Code)
+	}
+	for _, want := range []string{"# HELP cluster_requests_total ", "\ncluster_requests_total 1\n"} {
 		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, text)
+			t.Fatalf("front-tier /metrics missing %q:\n%s", want, text)
 		}
 	}
-	if again := scrape(); again != text {
-		t.Fatalf("two quiet scrapes differ:\n--- first\n%s\n--- second\n%s", text, again)
+	if strings.Contains(text, "serve_") {
+		t.Fatalf("front-tier /metrics carries shard series:\n%s", text)
+	}
+	if shard := get(tc.servers[0].Handler(), "/metrics").Body.String(); !strings.Contains(shard, "# HELP serve_requests_total ") {
+		t.Fatalf("shard /metrics lost its serve_* series:\n%s", shard)
+	}
+	for name, h := range map[string]http.Handler{"front tier": tc.rt.Handler(), "shard": tc.servers[0].Handler()} {
+		if code := get(h, "/metrics.json").Code; code != http.StatusNotFound {
+			t.Fatalf("%s GET /metrics.json answered %d, want 404", name, code)
+		}
 	}
 }
 

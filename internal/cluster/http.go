@@ -8,10 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -37,15 +35,13 @@ type answer struct {
 //	POST /v1/route   one routing request, cluster-routed
 //	GET  /healthz    front-tier liveness + per-shard states
 //	GET  /readyz     cluster readiness aggregate
-//	GET  /metrics    cluster-wide Prometheus exposition (merged snapshots)
-//	GET  /metrics.json  the same merged snapshot as JSON
+//	GET  /metrics    Prometheus exposition of the front tier's own registry
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/route", rt.handleRoute)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", rt.handleMetricsJSON)
 	return rt.recoverMiddleware(mux)
 }
 
@@ -200,9 +196,8 @@ func (rt *Router) forward(ctx context.Context, body []byte, digest string, cands
 			}
 			lastHTTP = ans
 		default:
-			// No HTTP answer at all: the shard is unreachable (or its
-			// breaker is open from earlier failures). Demote it now — this
-			// is the in-band rebalance — and fail over.
+			// No HTTP answer at all: the shard is unreachable. Demote it
+			// now — this is the in-band rebalance — and fail over.
 			if err != nil && !errors.Is(err, context.Canceled) {
 				rt.markDown(sh)
 			}
@@ -265,49 +260,11 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// mergedSnapshot scrapes every selectable shard's /metrics.json and folds
-// the snapshots — plus the front tier's own — through obs.MergeAll, whose
-// sorted summation makes the aggregate independent of scrape order and
-// shard listing order. Scrape failures skip that shard and count.
-func (rt *Router) mergedSnapshot(ctx context.Context) obs.Snapshot {
-	local := rt.cfg.Metrics.Snapshot()
-	snaps := make([]obs.Snapshot, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, sh := range rt.shards {
-		if !sh.selectable() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			snap, err := sh.scrapeSnapshot(ctx)
-			if err != nil {
-				rt.inst.scrapeErrors.Inc()
-				return
-			}
-			snaps[i] = snap
-		}(i, sh)
-	}
-	wg.Wait()
-	all := []obs.Snapshot{local}
-	for _, s := range snaps {
-		if s != nil {
-			all = append(all, s)
-		}
-	}
-	return obs.MergeAll(all...)
-}
-
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := rt.mergedSnapshot(r.Context())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := snap.WriteProm(w); err != nil {
+	if err := rt.cfg.Metrics.WriteProm(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (rt *Router) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.mergedSnapshot(r.Context()))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -3,12 +3,10 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sync/atomic"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -48,10 +46,8 @@ func (s shardState) String() string {
 	}
 }
 
-// shard is one routing backend: its forward client (one attempt behind a
-// circuit breaker), a plain client for the cheap GET paths
-// (peek, probe, metrics scrape — these must not share the breaker, or a
-// down shard could never be probed back to life), and the atomic state.
+// shard is one routing backend: its forward client, a plain client for
+// the cheap GET paths (peek, probe), and the atomic state.
 type shard struct {
 	name   string // host:port, the stable identity in headers and reports
 	base   string // full base URL
@@ -136,32 +132,4 @@ func (s *shard) peek(ctx context.Context, digest string) *serve.RouteResult {
 		return nil
 	}
 	return &res
-}
-
-// scrapeSnapshot pulls the shard's obs snapshot (GET /metrics.json) for
-// the cluster-wide aggregation.
-func (s *shard) scrapeSnapshot(ctx context.Context) (obs.Snapshot, error) {
-	pctx, cancel := context.WithTimeout(ctx, peekTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, s.base+"/metrics.json", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.plain.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: scrape %s: status %d", s.name, resp.StatusCode)
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("cluster: scrape %s: %w", s.name, err)
-	}
-	return snap, nil
 }

@@ -526,40 +526,14 @@ func (r *router) runGreedy() (*topology.Node, error) {
 		if err := r.foldInIndexed(g, k); err != nil {
 			return nil, err
 		}
-		if debugDepsCheck && alive > 1 {
-			g.checkDeps(r.stats.Merges)
+		if depsAudit != nil && alive > 1 {
+			depsAudit(g, r.stats.Merges)
 		}
 		root = k
 	}
 	return root, nil
 }
 
-// debugDepsCheck enables the per-merge consistency audit below; test-only.
-var debugDepsCheck = false
-
-func (g *greedyState) checkDeps(merge int) {
-	for id, ok := range g.alive {
-		if !ok {
-			continue
-		}
-		for p, d := range g.deps[id] {
-			if !g.alive[d] || g.best[d].partner == nil || g.best[d].partner.ID != id || g.depPos[d] != int32(p) {
-				panic(fmt.Sprintf("merge %d: deps[%d][%d] = %d is dead, stale or not partnered with %d",
-					merge, id, p, d, id))
-			}
-		}
-		b := g.best[id]
-		if b.partner == nil {
-			continue // stale: the list check above keeps it out of every list
-		}
-		if !g.alive[b.partner.ID] {
-			panic(fmt.Sprintf("merge %d: node %d best partner %d dead", merge, id, b.partner.ID))
-		}
-		l := g.deps[b.partner.ID]
-		p := g.depPos[id]
-		if int(p) >= len(l) || l[p] != int32(id) {
-			panic(fmt.Sprintf("merge %d: node %d not at depPos %d of deps[%d] (len %d)",
-				merge, id, p, b.partner.ID, len(l)))
-		}
-	}
-}
+// depsAudit, when set, checks the dependent lists after every merge but
+// the last; only tests set it.
+var depsAudit func(g *greedyState, merge int)

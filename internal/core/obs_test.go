@@ -174,10 +174,16 @@ type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
+// discardTracer drops every span: the cheapest non-nil Tracer, so the
+// traced benchmark measures emission alone, apart from any encoding.
+type discardTracer struct{}
+
+func (discardTracer) Span(obs.Span) {}
+
 // BenchmarkRouteObs measures the construction with observability disabled
 // (the production default — compare its ns/op across commits; perf/'s
 // traced runs report the end-to-end cost as trace.overhead_pct), against
-// a counting tracer (pure emission overhead), and with a live metrics
+// a discarding tracer (pure emission overhead), and with a live metrics
 // registry.
 func BenchmarkRouteObs(b *testing.B) {
 	in := makeInstance(b, 128, 7)
@@ -197,7 +203,7 @@ func BenchmarkRouteObs(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) { run(b, base) })
 	b.Run("traced", func(b *testing.B) {
 		opts := base
-		opts.Tracer = &obs.CountingTracer{}
+		opts.Tracer = discardTracer{}
 		run(b, opts)
 	})
 	b.Run("metrics", func(b *testing.B) {

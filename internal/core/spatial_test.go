@@ -97,6 +97,37 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
+// checkDeps is the per-merge audit of the greedy's dependent lists: every
+// alive node's dependents are alive and partnered with it at the recorded
+// position, and every partnered node sits at its depPos in its partner's
+// list. It panics naming the merge that broke either property.
+func checkDeps(g *greedyState, merge int) {
+	for id, ok := range g.alive {
+		if !ok {
+			continue
+		}
+		for p, d := range g.deps[id] {
+			if !g.alive[d] || g.best[d].partner == nil || g.best[d].partner.ID != id || g.depPos[d] != int32(p) {
+				panic(fmt.Sprintf("merge %d: deps[%d][%d] = %d is dead, stale or not partnered with %d",
+					merge, id, p, d, id))
+			}
+		}
+		b := g.best[id]
+		if b.partner == nil {
+			continue // stale: the list check above keeps it out of every list
+		}
+		if !g.alive[b.partner.ID] {
+			panic(fmt.Sprintf("merge %d: node %d best partner %d dead", merge, id, b.partner.ID))
+		}
+		l := g.deps[b.partner.ID]
+		p := g.depPos[id]
+		if int(p) >= len(l) || l[p] != int32(id) {
+			panic(fmt.Sprintf("merge %d: node %d not at depPos %d of deps[%d] (len %d)",
+				merge, id, p, b.partner.ID, len(l)))
+		}
+	}
+}
+
 // TestSpatialMatchesExhaustiveProperty is the differential property test of
 // the candidate engine: across 350 random instances — every placement
 // shape, every greedy method and gating-policy shape, 2 to 207 sinks, and
@@ -112,8 +143,8 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential property test routes 756 instances")
 	}
-	debugDepsCheck = true
-	defer func() { debugDepsCheck = false }()
+	depsAudit = checkDeps
+	defer func() { depsAudit = nil }()
 	p := tech.Default()
 	modes := []Options{
 		{Tech: p, Method: MinSwitchedCap, Drivers: GatedTree},                             // polReduce

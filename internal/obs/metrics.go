@@ -1,12 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -31,27 +30,6 @@ func (k Kind) String() string {
 		return "histogram"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// MarshalText writes the kind by name, so a snapshot's wire form reads
-// "kind":"counter".
-func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText inverts MarshalText, so a snapshot fetched over HTTP (a
-// shard's /metrics.json) merges by typed kind exactly like a locally
-// captured one; an unknown name fails the decode.
-func (k *Kind) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "counter":
-		*k = KindCounter
-	case "gauge":
-		*k = KindGauge
-	case "histogram":
-		*k = KindHistogram
-	default:
-		return fmt.Errorf("obs: snapshot instrument has unknown kind %q", text)
-	}
-	return nil
 }
 
 // Counter is a monotonically increasing count. Updates are single atomic
@@ -311,62 +289,21 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // observations at or below the upper bound (Le is +Inf for the overflow
 // bucket).
 type BucketCount struct {
-	Le    float64 `json:"le"`
-	Count int64   `json:"count"`
-}
-
-// bucketWire is the JSON form of a bucket: the bound travels as a string
-// because the overflow bucket's +Inf is not a JSON number (and "+Inf" is
-// the Prometheus spelling anyway).
-type bucketWire struct {
-	Le    string `json:"le"`
-	Count int64  `json:"count"`
-}
-
-// MarshalJSON encodes the bound as a string, "+Inf" for the overflow
-// bucket — without this the JSON encoding of any histogram-bearing
-// snapshot would fail outright on the unencodable infinity.
-func (b BucketCount) MarshalJSON() ([]byte, error) {
-	le := "+Inf"
-	if !math.IsInf(b.Le, 1) {
-		le = strconv.FormatFloat(b.Le, 'g', -1, 64)
-	}
-	return json.Marshal(bucketWire{Le: le, Count: b.Count})
-}
-
-// UnmarshalJSON inverts MarshalJSON exactly: strconv's 'g'/-1 round trip
-// is lossless, so a decoded snapshot merges bit-identically to the local
-// one it was captured from.
-func (b *BucketCount) UnmarshalJSON(data []byte) error {
-	var w bucketWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if w.Le == "+Inf" {
-		b.Le = math.Inf(1)
-	} else {
-		v, err := strconv.ParseFloat(w.Le, 64)
-		if err != nil {
-			return fmt.Errorf("obs: bucket bound %q: %w", w.Le, err)
-		}
-		b.Le = v
-	}
-	b.Count = w.Count
-	return nil
+	Le    float64
+	Count int64
 }
 
 // InstrumentSnapshot is the point-in-time state of one instrument.
 type InstrumentSnapshot struct {
-	Kind    Kind          `json:"kind"`
-	Value   int64         `json:"value,omitempty"`   // counter, gauge
-	Count   int64         `json:"count,omitempty"`   // histogram
-	Sum     float64       `json:"sum,omitempty"`     // histogram
-	Buckets []BucketCount `json:"buckets,omitempty"` // histogram
+	Kind    Kind
+	Value   int64         // counter, gauge
+	Count   int64         // histogram
+	Sum     float64       // histogram
+	Buckets []BucketCount // histogram
 }
 
-// Snapshot is a consistent-enough copy of a registry (each instrument is
-// read atomically; the set is read under the registry lock), mergeable
-// across workers with Merge.
+// Snapshot is a consistent-enough in-process copy of a registry (each
+// instrument is read atomically; the set is read under the registry lock).
 type Snapshot map[string]InstrumentSnapshot
 
 // Snapshot captures every registered instrument.
@@ -399,74 +336,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// Merge folds other into s: counters and histogram buckets are summed,
-// gauges take the maximum (the useful aggregate for depth/size gauges).
-// Instruments missing from s are copied over.
-//
-// Every aggregate is integer arithmetic except the histogram Sum, whose
-// floating-point addition is order-sensitive in the last ulp — use
-// MergeAll when byte-identical output across input permutations matters.
-func (s Snapshot) Merge(other Snapshot) {
-	for name, o := range other {
-		cur, ok := s[name]
-		if !ok {
-			if o.Buckets != nil {
-				o.Buckets = append([]BucketCount(nil), o.Buckets...)
-			}
-			s[name] = o
-			continue
-		}
-		switch cur.Kind {
-		case KindCounter:
-			cur.Value += o.Value
-		case KindGauge:
-			if o.Value > cur.Value {
-				cur.Value = o.Value
-			}
-		case KindHistogram:
-			cur.Count += o.Count
-			cur.Sum += o.Sum
-			for i := range cur.Buckets {
-				if i < len(o.Buckets) {
-					cur.Buckets[i].Count += o.Buckets[i].Count
-				}
-			}
-		}
-		s[name] = cur
-	}
-}
-
-// MergeAll merges any number of snapshots into a fresh one,
-// order-independently: the integer aggregates (counters, gauges, bucket
-// counts) are commutative already, and the one float aggregate — the
-// histogram Sum — is summed in sorted value order, so every permutation of
-// the inputs produces a bit-identical result. This is the aggregation
-// behind the cluster front tier's merged /metrics: scraping shards in
-// whatever order they answer must not change the exposition.
-func MergeAll(snaps ...Snapshot) Snapshot {
-	out := Snapshot{}
-	sums := map[string][]float64{}
-	for _, s := range snaps {
-		for name, is := range s {
-			if is.Kind == KindHistogram {
-				sums[name] = append(sums[name], is.Sum)
-			}
-		}
-		out.Merge(s)
-	}
-	for name, vs := range sums {
-		sort.Float64s(vs)
-		total := 0.0
-		for _, v := range vs {
-			total += v
-		}
-		is := out[name]
-		is.Sum = total
-		out[name] = is
-	}
-	return out
-}
-
 // WriteProm writes the registry in the Prometheus text exposition format:
 // a # HELP and # TYPE line per instrument, histograms expanded into
 // cumulative _bucket{le="…"} series plus _sum and _count. Instruments are
@@ -474,25 +343,14 @@ func MergeAll(snaps ...Snapshot) Snapshot {
 func (r *Registry) WriteProm(w io.Writer) error {
 	snap := r.Snapshot()
 	r.mu.Lock()
-	help := make(map[string]string, len(r.help))
-	for k, v := range r.help {
-		help[k] = v
-	}
+	help := maps.Clone(r.help)
 	r.mu.Unlock()
-	return writeSnapshotProm(w, snap, help)
-}
-
-// WriteProm writes the snapshot in the Prometheus text exposition format
-// (no # HELP lines — a snapshot does not carry help text). The output is a
-// pure sorted function of the snapshot's contents, which is what makes the
-// cluster front tier's aggregated /metrics deterministic: merging per-shard
-// snapshots in any order writes byte-identical expositions.
-func (s Snapshot) WriteProm(w io.Writer) error {
-	return writeSnapshotProm(w, s, nil)
-}
-
-func writeSnapshotProm(w io.Writer, snap Snapshot, help map[string]string) error {
-	for _, name := range sortedKeys(snap) {
+	names := make([]string, 0, len(snap))
+	for name := range snap {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		s := snap[name]
 		if h := help[name]; h != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, h); err != nil {

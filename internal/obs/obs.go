@@ -15,10 +15,10 @@
 //     are written so the disabled path performs no allocations.
 //   - metrics.go: Counter/Gauge/Histogram instruments on a Registry,
 //     updated with single atomic operations (the registry lock is taken
-//     only at registration), exported as a Prometheus-style text dump
-//     and as a JSON Snapshot that merges across processes. There is no
-//     process-wide registry: every instrument lives on the Registry its
-//     caller passed in.
+//     only at registration), exported as a Prometheus-style text dump.
+//     There is no process-wide registry: every instrument lives on the
+//     Registry its caller passed in, and a registry is safe to share
+//     across concurrent routes.
 //   - manifest.go: the per-run JSON manifest (inputs, options, durations,
 //     result digest) the gcr command emits for reproducibility.
 package obs

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -63,23 +61,6 @@ type Span struct {
 // orchestration loop, but independent routing runs may share a tracer.
 type Tracer interface {
 	Span(Span)
-}
-
-// CountingTracer counts spans and discards them — the cheapest non-nil
-// Tracer, used to benchmark the enabled path's emission overhead apart
-// from any encoding cost.
-type CountingTracer struct {
-	Phases atomic.Int64
-	Merges atomic.Int64
-}
-
-// Span implements Tracer.
-func (t *CountingTracer) Span(s Span) {
-	if s.Kind == SpanMerge {
-		t.Merges.Add(1)
-	} else {
-		t.Phases.Add(1)
-	}
 }
 
 // phaseLine and mergeLine are the JSONL wire forms. Node IDs and merge
@@ -209,26 +190,9 @@ func (t *JSONLTracer) WriteSummary(w io.Writer) error {
 	return err
 }
 
-// Phases returns the phase names in first-seen order.
-func (t *JSONLTracer) Phases() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.phaseOrder...)
-}
-
 // MergeCount returns the number of merge spans received.
 func (t *JSONLTracer) MergeCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.merges
-}
-
-// sortedKeys is shared by the summary/export helpers of this package.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -69,7 +69,6 @@ func BuildRouteResponse(rr *Resolved, digest string, cached, coalesced bool, res
 //	GET  /healthz            liveness + drain state
 //	GET  /readyz             readiness: warming | ready | draining
 //	GET  /metrics            Prometheus text exposition of the registry
-//	GET  /metrics.json       the registry as one mergeable obs.Snapshot
 //
 // The whole mux is wrapped in panic isolation: a panic escaping any
 // handler answers that one request with a typed 500 instead of unwinding
@@ -81,7 +80,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	return s.recoverMiddleware(mux)
 }
 
@@ -107,12 +105,6 @@ func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inst.peekHits.Inc()
 	writeJSON(w, http.StatusOK, res)
-}
-
-// handleMetricsJSON exposes the registry as one mergeable obs.Snapshot —
-// the scrape format behind the cluster front tier's aggregated /metrics.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cfg.Metrics.Snapshot())
 }
 
 // recoverMiddleware is the outermost line of panic defense: handler-level
