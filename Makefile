@@ -29,10 +29,11 @@ test:
 test-full:
 	$(GO) test ./...
 
-# Router benchmarks with the fast-path counters as custom metrics. The
+# Router benchmarks with the fast-path counters as custom metrics, and the
+# gate optimizer, which replays a 64-sink topology per candidate flip. The
 # end-to-end benchmark, with repeats and spreads, is `bash perf/run.sh`.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkRoute|BenchmarkConstructScaling|BenchmarkConstructMulticore' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkRoute|BenchmarkConstructScaling|BenchmarkConstructMulticore|BenchmarkGateOptimizer' -benchmem .
 
 # CI smoke: one iteration of the routing benchmarks, the allocation
 # ceilings at N=1024/4096, and at N=16384 the p90 candidates-per-search

@@ -195,6 +195,8 @@ type Result struct {
 	Report     Report
 	Controller *Controller
 	Options    Options
+
+	instance *core.Instance // what Design.Route routed; OptimizeGates replays it
 }
 
 // Route constructs and evaluates a clock tree for the design.
@@ -233,6 +235,7 @@ func (d *Design) RouteContext(ctx context.Context, opts Options) (*Result, error
 		Report:     rep,
 		Controller: c,
 		Options:    opts,
+		instance:   d.instance,
 	}, nil
 }
 
@@ -280,34 +283,23 @@ func (r *Result) DomainBreakdown() ([]sim.DomainBreakdown, error) {
 
 // OptimizeGates runs the greedy exact-improvement optimizer over the
 // result's gate assignment (internal/regate): single-gate flips are
-// accepted while the exactly evaluated switched capacitance decreases, the
-// whole tree being re-solved zero-skew for every candidate. Returns a new
-// Result; the receiver is unchanged. maxPasses ≤ 0 selects 3.
+// accepted while the exactly evaluated switched capacitance decreases.
+// Every candidate replays the tree's topology through the router's own
+// merge under the result's Options with the flipped assignment pinned, so
+// buffers, sizing and the skew budget follow the router's rules. Returns a
+// new Result never worse than the receiver, which is unchanged. maxPasses
+// ≤ 0 selects 3. Only a Result from Design.Route can be optimized.
 func (r *Result) OptimizeGates(maxPasses int) (*Result, error) {
-	side := r.Controller.Die.W()
-	if r.Controller.Die.H() > side {
-		side = r.Controller.Die.H()
+	if r.instance == nil {
+		return nil, errors.New("gatedclock: OptimizeGates needs a Result from Design.Route")
 	}
-	bufferCap := r.Options.BufferCap
-	if bufferCap == 0 {
-		bufferCap = 4 * gating.BaseCap(r.Options.Tech.Gate.Cin, side)
-	}
-	res, err := regate.Improve(r.Tree, regate.Config{
-		Tech:        r.Options.Tech,
-		Controller:  r.Controller,
-		SkewBoundPs: r.Options.SkewBoundPs,
-		BufferCap:   bufferCap,
-	}, maxPasses)
+	res, err := regate.Improve(r.instance, r.Options, r.Tree, maxPasses)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Tree:       res.Tree,
-		Stats:      r.Stats,
-		Report:     res.Report,
-		Controller: r.Controller,
-		Options:    r.Options,
-	}, nil
+	opt := *r
+	opt.Tree, opt.Report = res.Tree, res.Report
+	return &opt, nil
 }
 
 // EvaluateCorners re-evaluates the routed tree under derated technology

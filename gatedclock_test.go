@@ -201,6 +201,10 @@ func TestOptimizeGatesPublicAPI(t *testing.T) {
 	if opt.Report.SkewPs > 1e-6*(1+opt.Report.MaxDelayPs) {
 		t.Errorf("optimized tree skew %v", opt.Report.SkewPs)
 	}
+	// A Result assembled by hand carries no routed instance to replay.
+	if _, err := (&gatedclock.Result{Tree: res.Tree}).OptimizeGates(1); err == nil {
+		t.Error("OptimizeGates on a Result not from Design.Route must fail")
+	}
 }
 
 func TestNetlistExportsPublicAPI(t *testing.T) {

@@ -551,10 +551,8 @@ func (r *router) run() (*topology.Tree, error) {
 		return nil, err
 	}
 	embedStart := time.Now()
-	r.finishRoot(root)
-	tree := &topology.Tree{Root: root, Source: r.source}
-	dme.Embed(tree)
-	if err := tree.Validate(); err != nil {
+	tree, err := r.finish(root)
+	if err != nil {
 		return nil, err
 	}
 	r.stats.PhaseEmbed = time.Since(embedStart)
@@ -683,6 +681,60 @@ func locsOf(nodes []*topology.Node) []geom.Point {
 	return pts
 }
 
+// Replay re-solves the topology of t over in's sinks under opts: it
+// rebuilds the sinks, merges t's shape bottom-up through the router's own
+// merge, keeping t's node IDs, and finishes the tree as Route does. Gate
+// decisions stay with opts.Policy (gating.Fixed pins an assignment);
+// buffers, sizing, the skew budget and the root driver follow the router's
+// rules. Replaying a routed tree under the Fixed set of its own gates
+// reproduces it bit for bit. Replay records no Stats, spans or metrics and
+// runs no Verify checker. A t whose leaves are not in's sinks, each
+// exactly once, fails with ErrInvalidInput.
+func Replay(in *Instance, opts Options, t *topology.Tree) (*topology.Tree, error) {
+	if err := in.Validate(opts); err != nil {
+		return nil, err
+	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
+	}
+	r := newRouter(context.Background(), in, opts)
+	sinks := r.makeSinks()
+	leaves := 0
+	var build func(n *topology.Node) (*topology.Node, error)
+	build = func(n *topology.Node) (*topology.Node, error) {
+		if n.IsSink() {
+			// Validate rejected negative and repeated sink indices.
+			if n.SinkIndex >= len(sinks) {
+				return nil, fmt.Errorf("%w: leaf %d names sink %d of %d",
+					ErrInvalidInput, n.ID, n.SinkIndex, len(sinks))
+			}
+			leaves++
+			s := sinks[n.SinkIndex]
+			s.ID = n.ID
+			return s, nil
+		}
+		a, err := build(n.Left)
+		if err != nil {
+			return nil, err
+		}
+		b, err := build(n.Right)
+		if err != nil {
+			return nil, err
+		}
+		r.nextID = n.ID
+		return r.merge(a, b)
+	}
+	root, err := build(t.Root)
+	if err != nil {
+		return nil, err
+	}
+	if leaves != len(sinks) {
+		return nil, fmt.Errorf("%w: topology has %d leaves for %d sinks",
+			ErrInvalidInput, leaves, len(sinks))
+	}
+	return r.finish(root)
+}
+
 func (r *router) makeSinks() []*topology.Node {
 	n := len(r.in.SinkLocs)
 	// One backing array for all 2n−1 nodes of the tree (n sinks + n−1
@@ -792,6 +844,7 @@ func (r *router) gateEdge(n *topology.Node, parentP, estLen float64) bool {
 		ParentP:    parentP,
 		SubtreeCap: r.subtreeCap(n, estLen),
 		IsSink:     n.IsSink(),
+		Node:       n.ID,
 	})
 }
 
@@ -903,17 +956,23 @@ func (r *router) attachContribution(n *topology.Node) float64 {
 	return r.opts.Tech.WireCap(n.EdgeLen) + n.AttachCap
 }
 
-// finishRoot decides the driver on the source-to-root edge. The source
-// domain is always on (ParentP = 1).
-func (r *router) finishRoot(root *topology.Node) {
+// finish is the tail every schedule and Replay share: it decides the
+// driver on the source-to-root edge (the source domain is always on,
+// ParentP = 1), embeds the tree top-down and validates it.
+func (r *router) finish(root *topology.Node) (*topology.Tree, error) {
+	est := geom.Dist(r.source, root.MS.Nearest(r.source))
 	switch r.opts.Drivers {
 	case BufferedTree:
-		est := geom.Dist(r.source, root.MS.Nearest(r.source))
 		root.SetDriver(r.sized(&r.opts.Tech.Buffer, r.subtreeCap(root, est)), false)
 	case GatedTree:
-		est := geom.Dist(r.source, root.MS.Nearest(r.source))
 		if r.gateEdge(root, 1, est) {
 			root.SetDriver(r.sized(&r.opts.Tech.Gate, r.subtreeCap(root, est)), true)
 		}
 	}
+	tree := &topology.Tree{Root: root, Source: r.source}
+	dme.Embed(tree)
+	if err := tree.Validate(); err != nil {
+		return nil, err
+	}
+	return tree, nil
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/dme"
 	"repro/internal/topology"
 	"repro/internal/verify"
 )
@@ -215,10 +214,10 @@ func (r *router) runRoundsAllPairs() (*topology.Node, error) {
 
 // routeOracle routes in under opts with the all-pairs oracle of its
 // method — runGreedyReference for the four one-pair-at-a-time methods,
-// runRoundsAllPairs for NearestNeighbor — and finishes the tree as run
-// does: root driver, embedding, validation, and the independent checker
-// when opts.Verify is set. The Stats carry Merges, Snakes and the
-// pair-evaluation counters.
+// runRoundsAllPairs for NearestNeighbor — and finishes the tree through
+// run's own tail, finish (root driver, embedding, validation), then the
+// independent checker when opts.Verify is set. The Stats carry Merges,
+// Snakes and the pair-evaluation counters.
 func routeOracle(t testing.TB, in *Instance, opts Options) (*topology.Tree, Stats) {
 	t.Helper()
 	r := newRouter(context.Background(), in, opts)
@@ -230,10 +229,8 @@ func routeOracle(t testing.TB, in *Instance, opts Options) (*topology.Tree, Stat
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.finishRoot(root)
-	tree := &topology.Tree{Root: root, Source: r.source}
-	dme.Embed(tree)
-	if err := tree.Validate(); err != nil {
+	tree, err := r.finish(root)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.Verify {

@@ -738,7 +738,6 @@ type RegateRow struct {
 	Variant string
 	TotalSC float64
 	Gates   int
-	Flips   int
 }
 
 // RunRegate measures how close the paper's reduction rules land to a local

@@ -19,6 +19,7 @@ type EdgeInfo struct {
 	ParentP    float64 // signal probability of the merged parent, P(EN_k)
 	SubtreeCap float64 // capacitance the gate would shield: est. edge wire + cap into the subtree root (fF)
 	IsSink     bool    // the edge feeds a leaf module
+	Node       int     // ID of the node the edge feeds
 }
 
 // Policy decides whether an edge receives a masking gate.
@@ -38,6 +39,14 @@ type None struct{}
 
 // Gate implements Policy.
 func (None) Gate(EdgeInfo) bool { return false }
+
+// Fixed pins a gate assignment: the edge feeding node ID carries a gate
+// exactly when the map holds true for it. Replaying a topology under the
+// Fixed set of its own gates reproduces the tree.
+type Fixed map[int]bool
+
+// Gate implements Policy.
+func (f Fixed) Gate(e EdgeInfo) bool { return f[e.Node] }
 
 // Reduction is the §4.3 heuristic. A gate is removed when any of the three
 // rules fires:

@@ -1,135 +1,28 @@
-// Package regate re-derives a clock tree's electrical solution over its
-// *existing* topology under a different gate assignment, and provides a
-// greedy exact-improvement optimizer on top.
+// Package regate measures how close the router's gate decisions come to a
+// better gate assignment on the same topology.
 //
 // The router decides gates during construction with the paper's §4.3
 // heuristics; this package answers "how good are those rules?" by taking
-// the finished topology, exhaustively flipping individual gates, re-solving
-// the zero-skew merges bottom-up for each candidate (gate changes shift
-// every tapping point above it), and keeping flips that lower the exactly
-// evaluated switched capacitance W(T)+W(S).
+// the finished topology, flipping individual gates, replaying the topology
+// through the router's own merge for every candidate (core.Replay under a
+// gating.Fixed assignment: gate changes shift every tapping point above
+// them), and keeping flips that lower the exactly evaluated switched
+// capacitance W(T)+W(S).
 package regate
 
 import (
 	"errors"
-	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/ctrl"
-	"repro/internal/dme"
+	"repro/internal/gating"
 	"repro/internal/power"
-	"repro/internal/tech"
 	"repro/internal/topology"
 )
 
-// Config parameterizes rebuilds.
-type Config struct {
-	Tech        tech.Params
-	Controller  *ctrl.Controller
-	SkewBoundPs float64
-	// BufferCap re-inserts free-running buffers on ungated edges whose
-	// subtree capacitance reaches this threshold (≤0 disables), matching
-	// the router's delay control.
-	BufferCap float64
-}
-
-// Rebuild clones the topology of t and re-solves every merge bottom-up with
-// the given gate assignment (nodeID → gated). Nodes absent from the map are
-// ungated. Activity annotations are preserved; geometry, edge lengths,
-// delays and drivers are recomputed from scratch.
-func Rebuild(t *topology.Tree, cfg Config, gates map[int]bool) (*topology.Tree, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Controller == nil {
-		return nil, errors.New("regate: controller required")
-	}
-	root, err := rebuildNode(t.Root, cfg, gates)
-	if err != nil {
-		return nil, err
-	}
-	// Root edge driver.
-	if gates[t.Root.ID] {
-		root.SetDriver(&cfg.Tech.Gate, true)
-	} else if cfg.BufferCap > 0 && root.Cap >= cfg.BufferCap {
-		root.SetDriver(&cfg.Tech.Buffer, false)
-	}
-	nt := &topology.Tree{Root: root, Source: t.Source}
-	dme.Embed(nt)
-	if err := nt.Validate(); err != nil {
-		return nil, err
-	}
-	return nt, nil
-}
-
-// rebuildNode recursively re-merges the subtree rooted at n, returning a
-// fresh node carrying the recomputed electrical state. The returned node's
-// Driver is set by the caller (drivers belong to the edge above).
-func rebuildNode(n *topology.Node, cfg Config, gates map[int]bool) (*topology.Node, error) {
-	clone := &topology.Node{
-		ID:        n.ID,
-		SinkIndex: n.SinkIndex,
-		Instr:     n.Instr,
-		P:         n.P,
-		Ptr:       n.Ptr,
-		LoadCap:   n.LoadCap,
-	}
-	if n.IsSink() {
-		clone.MS = n.MS
-		clone.Loc = n.Loc
-		clone.Cap = n.LoadCap
-		clone.AttachCap = n.LoadCap
-		return clone, nil
-	}
-	left, err := rebuildNode(n.Left, cfg, gates)
-	if err != nil {
-		return nil, err
-	}
-	right, err := rebuildNode(n.Right, cfg, gates)
-	if err != nil {
-		return nil, err
-	}
-	da := driverFor(left, cfg, gates)
-	db := driverFor(right, cfg, gates)
-	m, err := dme.BoundedSkewMerge(cfg.Tech,
-		dme.Branch{MS: left.MS, Delay: left.Delay, Spread: left.Spread, Cap: left.Cap, Driver: da},
-		dme.Branch{MS: right.MS, Delay: right.Delay, Spread: right.Spread, Cap: right.Cap, Driver: db},
-		cfg.SkewBoundPs)
-	if err != nil {
-		return nil, fmt.Errorf("regate: node %d: %w", n.ID, err)
-	}
-	clone.Left, clone.Right = left, right
-	left.Parent, right.Parent = clone, clone
-	left.EdgeLen, right.EdgeLen = m.LenA, m.LenB
-	left.SetDriver(da, da != nil && gates[left.ID])
-	right.SetDriver(db, db != nil && gates[right.ID])
-	clone.MS = m.MS
-	clone.Delay = m.Delay
-	clone.Spread = m.Spread
-	clone.Cap = m.Cap
-	clone.AttachCap = attach(left, cfg.Tech) + attach(right, cfg.Tech)
-	return clone, nil
-}
-
-func driverFor(n *topology.Node, cfg Config, gates map[int]bool) *tech.Driver {
-	if gates[n.ID] {
-		return &cfg.Tech.Gate
-	}
-	if cfg.BufferCap > 0 && n.Cap >= cfg.BufferCap {
-		return &cfg.Tech.Buffer
-	}
-	return nil
-}
-
-func attach(n *topology.Node, p tech.Params) float64 {
-	if n.Driver != nil {
-		return n.Driver.Cin
-	}
-	return p.WireCap(n.EdgeLen) + n.AttachCap
-}
-
 // GateSet extracts the current gate assignment of a tree.
-func GateSet(t *topology.Tree) map[int]bool {
-	gates := make(map[int]bool)
+func GateSet(t *topology.Tree) gating.Fixed {
+	gates := make(gating.Fixed)
 	t.Root.PreOrder(func(n *topology.Node) {
 		if n.Gated() {
 			gates[n.ID] = true
@@ -142,25 +35,33 @@ func GateSet(t *topology.Tree) map[int]bool {
 type Result struct {
 	Tree      *topology.Tree
 	Report    power.Report
-	InitialSC float64
-	Flips     int // accepted gate flips
-	Passes    int // full sweeps over the gate sites
-	Evals     int // candidate rebuilds evaluated
+	InitialSC float64 // W(T)+W(S) of the input tree
+	Flips     int     // accepted gate flips
+	Passes    int     // full sweeps over the gate sites
+	Evals     int     // candidate replays evaluated
 }
 
-// Improve greedily flips single gates (adding or removing) while the exact
-// evaluated W(T)+W(S) decreases. Each candidate flip re-solves the whole
-// tree, so the cost is O(sites·N) per pass; maxPasses bounds the search.
-func Improve(t *topology.Tree, cfg Config, maxPasses int) (*Result, error) {
+// Improve greedily flips single gates (adding or removing) of t, a tree
+// routed over in under opts, while the exactly evaluated W(T)+W(S)
+// decreases. Each candidate replays t's topology with opts.Policy set to
+// the flipped gating.Fixed assignment, so buffers, sizing, the skew budget
+// and the root driver follow the router's rules. The search starts from t
+// itself, so the result is never worse than t. Every candidate re-solves
+// the whole tree, so the cost is O(sites·N) per pass; maxPasses ≤ 0
+// selects 3.
+func Improve(in *core.Instance, opts core.Options, t *topology.Tree, maxPasses int) (*Result, error) {
 	if maxPasses <= 0 {
 		maxPasses = 3
 	}
-	gates := GateSet(t)
-	cur, err := Rebuild(t, cfg, gates)
-	if err != nil {
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	curRep := power.Evaluate(cur, cfg.Controller, cfg.Tech)
+	if opts.Controller == nil {
+		opts.Controller = ctrl.Centralized(in.Die)
+	}
+	gates := GateSet(t)
+	opts.Policy = gates
+	cur, curRep := t, power.Evaluate(t, opts.Controller, opts.Tech)
 	res := &Result{InitialSC: curRep.TotalSC}
 
 	var ids []int
@@ -170,15 +71,18 @@ func Improve(t *topology.Tree, cfg Config, maxPasses int) (*Result, error) {
 		improved := false
 		for _, id := range ids {
 			gates[id] = !gates[id]
-			cand, err := Rebuild(t, cfg, gates)
+			cand, err := core.Replay(in, opts, t)
 			res.Evals++
+			if errors.Is(err, core.ErrInvalidInput) {
+				return nil, err
+			}
 			if err != nil {
 				// Some assignments are electrically infeasible (budget
 				// violations); skip them.
 				gates[id] = !gates[id]
 				continue
 			}
-			rep := power.Evaluate(cand, cfg.Controller, cfg.Tech)
+			rep := power.Evaluate(cand, opts.Controller, opts.Tech)
 			if rep.TotalSC < curRep.TotalSC-1e-9 {
 				cur, curRep = cand, rep
 				res.Flips++

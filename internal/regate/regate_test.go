@@ -1,7 +1,7 @@
 package regate
 
 import (
-	"math"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -19,8 +19,9 @@ import (
 )
 
 type fixture struct {
+	in   *core.Instance
+	opts core.Options
 	tree *topology.Tree
-	cfg  Config
 }
 
 func routed(t *testing.T, n int, seed uint64, policy gating.Policy) fixture {
@@ -40,39 +41,40 @@ func routed(t *testing.T, n int, seed uint64, policy gating.Policy) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ctrl.Centralized(in.Die)
-	p := tech.Default()
-	tree, _, err := core.Route(in, core.Options{
-		Tech: p, Method: core.MinSwitchedCap, Drivers: core.GatedTree,
-		Policy: policy, Controller: c,
-	})
+	opts := core.Options{
+		Tech: tech.Default(), Method: core.MinSwitchedCap, Drivers: core.GatedTree,
+		Policy: policy, Controller: ctrl.Centralized(in.Die),
+	}
+	tree, _, err := core.Route(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	side := in.Die.W()
-	return fixture{tree: tree, cfg: Config{
-		Tech:       p,
-		Controller: c,
-		BufferCap:  4 * gating.BaseCap(p.Gate.Cin, side),
-	}}
+	return fixture{in: in, opts: opts, tree: tree}
 }
 
-// TestRebuildIdentityPreservesSC: rebuilding with the tree's own gate set
-// must reproduce its evaluation (the re-solve path is equivalent to the
-// construction path).
-func TestRebuildIdentityPreservesSC(t *testing.T) {
-	f := routed(t, 40, 3, nil)
-	nt, err := Rebuild(f.tree, f.cfg, GateSet(f.tree))
+// rebuild replays f's topology under its own gate set, the step every
+// Improve candidate takes with one gate flipped.
+func rebuild(t *testing.T, f fixture) *topology.Tree {
+	t.Helper()
+	opts := f.opts
+	opts.Policy = GateSet(f.tree)
+	nt, err := core.Replay(f.in, opts, f.tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := power.Evaluate(f.tree, f.cfg.Controller, f.cfg.Tech)
-	got := power.Evaluate(nt, f.cfg.Controller, f.cfg.Tech)
-	// Buffer placement may differ slightly (the router estimates subtree
-	// caps before the merge; Rebuild sees exact ones), so compare within a
-	// small relative band.
-	if rel := math.Abs(got.TotalSC-orig.TotalSC) / orig.TotalSC; rel > 0.05 {
-		t.Errorf("identity rebuild SC %v vs original %v (rel %v)", got.TotalSC, orig.TotalSC, rel)
+	return nt
+}
+
+// TestRebuildIdentityPreservesSC: rebuilding a routed tree under its own
+// gates goes through the router's merge, so it reproduces the exact
+// W(T)+W(S), the gate count and zero skew.
+func TestRebuildIdentityPreservesSC(t *testing.T) {
+	f := routed(t, 40, 3, nil)
+	nt := rebuild(t, f)
+	orig := power.Evaluate(f.tree, f.opts.Controller, f.opts.Tech)
+	got := power.Evaluate(nt, f.opts.Controller, f.opts.Tech)
+	if got.TotalSC != orig.TotalSC {
+		t.Errorf("identity rebuild SC %v vs original %v", got.TotalSC, orig.TotalSC)
 	}
 	if got.NumGates != orig.NumGates {
 		t.Errorf("gate count changed: %d vs %d", got.NumGates, orig.NumGates)
@@ -82,66 +84,56 @@ func TestRebuildIdentityPreservesSC(t *testing.T) {
 	}
 }
 
-func TestRebuildUngateAll(t *testing.T) {
-	f := routed(t, 30, 5, gating.All{})
-	nt, err := Rebuild(f.tree, f.cfg, map[int]bool{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := power.Evaluate(nt, f.cfg.Controller, f.cfg.Tech)
-	if rep.NumGates != 0 {
-		t.Errorf("%d gates left after ungating", rep.NumGates)
-	}
-	if rep.CtrlSC != 0 {
-		t.Error("ungated tree must have no controller SC")
-	}
-	a := rctree.Analyze(nt, f.cfg.Tech)
-	if a.Skew > 1e-6*(1+a.MaxDelay) {
-		t.Errorf("skew %v after full ungating", a.Skew)
-	}
-}
-
+// TestRebuildPreservesTopologyAndActivity: the rebuild keeps every node's
+// ID, its place in the pre-order and its enable probabilities P and Ptr.
 func TestRebuildPreservesTopologyAndActivity(t *testing.T) {
 	f := routed(t, 25, 7, nil)
-	nt, err := Rebuild(f.tree, f.cfg, GateSet(f.tree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var origIDs, newIDs []int
-	var origP, newP []float64
-	f.tree.Root.PreOrder(func(n *topology.Node) { origIDs = append(origIDs, n.ID); origP = append(origP, n.P) })
-	nt.Root.PreOrder(func(n *topology.Node) { newIDs = append(newIDs, n.ID); newP = append(newP, n.P) })
-	if len(origIDs) != len(newIDs) {
+	nt := rebuild(t, f)
+	var orig, got []*topology.Node
+	f.tree.Root.PreOrder(func(n *topology.Node) { orig = append(orig, n) })
+	nt.Root.PreOrder(func(n *topology.Node) { got = append(got, n) })
+	if len(orig) != len(got) {
 		t.Fatal("node count changed")
 	}
-	for i := range origIDs {
-		if origIDs[i] != newIDs[i] || origP[i] != newP[i] {
-			t.Fatal("topology or activity not preserved")
+	for i := range orig {
+		if orig[i].ID != got[i].ID || orig[i].P != got[i].P || orig[i].Ptr != got[i].Ptr {
+			t.Fatalf("node %d: topology or activity not preserved", orig[i].ID)
 		}
 	}
 }
 
-// TestImproveNeverWorsens is the optimizer's contract: the final exact SC
-// is at most the SC of rebuilding the initial assignment.
+// TestImproveNeverWorsens is the optimizer's contract: the search starts
+// from the input tree itself, so InitialSC is the input's exact W(T)+W(S)
+// and the final W is at most that.
 func TestImproveNeverWorsens(t *testing.T) {
-	f := routed(t, 35, 11, nil)
-	res, err := Improve(f.tree, f.cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.TotalSC > res.InitialSC+1e-9 {
-		t.Errorf("optimizer worsened SC: %v from %v", res.Report.TotalSC, res.InitialSC)
-	}
-	if res.Evals == 0 || res.Passes == 0 {
-		t.Error("optimizer did no work")
-	}
-	// The optimized tree must stay a valid zero-skew tree.
-	a := rctree.Analyze(res.Tree, f.cfg.Tech)
-	if a.Skew > 1e-6*(1+a.MaxDelay) {
-		t.Errorf("optimized tree skew %v", a.Skew)
-	}
-	if err := res.Tree.Validate(); err != nil {
-		t.Error(err)
+	for _, n := range []int{40, 64, 96, 128, 200} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
+				f := routed(t, n, seed, nil)
+				input := power.Evaluate(f.tree, f.opts.Controller, f.opts.Tech).TotalSC
+				res, err := Improve(f.in, f.opts, f.tree, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.InitialSC != input {
+					t.Errorf("InitialSC %v, want the input's W %v", res.InitialSC, input)
+				}
+				if res.Report.TotalSC > input {
+					t.Errorf("optimizer worsened SC: %v from %v", res.Report.TotalSC, input)
+				}
+				if res.Evals == 0 || res.Passes == 0 {
+					t.Error("optimizer did no work")
+				}
+				// The optimized tree must stay a valid zero-skew tree.
+				a := rctree.Analyze(res.Tree, f.opts.Tech)
+				if a.Skew > 1e-6*(1+a.MaxDelay) {
+					t.Errorf("optimized tree skew %v", a.Skew)
+				}
+				if err := res.Tree.Validate(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }
 
@@ -149,8 +141,8 @@ func TestImproveNeverWorsens(t *testing.T) {
 // assignment (all gates on a low-activity design) and it must strip some.
 func TestImproveFindsObviousWin(t *testing.T) {
 	f := routed(t, 30, 13, gating.All{})
-	before := power.Evaluate(f.tree, f.cfg.Controller, f.cfg.Tech)
-	res, err := Improve(f.tree, f.cfg, 2)
+	before := power.Evaluate(f.tree, f.opts.Controller, f.opts.Tech)
+	res, err := Improve(f.in, f.opts, f.tree, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,17 +154,5 @@ func TestImproveFindsObviousWin(t *testing.T) {
 	}
 	if res.Report.NumGates >= before.NumGates {
 		t.Errorf("expected gates to be stripped: %d vs %d", res.Report.NumGates, before.NumGates)
-	}
-}
-
-func TestRebuildValidation(t *testing.T) {
-	f := routed(t, 10, 17, nil)
-	cfg := f.cfg
-	cfg.Controller = nil
-	if _, err := Rebuild(f.tree, cfg, nil); err == nil {
-		t.Error("missing controller must fail")
-	}
-	if _, err := Rebuild(&topology.Tree{}, f.cfg, nil); err == nil {
-		t.Error("invalid tree must fail")
 	}
 }

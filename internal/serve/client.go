@@ -63,8 +63,8 @@ type Client struct {
 	// letting one half-open probe through (0 = 5s).
 	BreakerCooldown time.Duration
 
-	// Metrics receives the client_* instruments (nil = a fresh private
-	// registry).
+	// Metrics receives the client_* instruments (nil = no instruments: the
+	// client counts nothing).
 	Metrics *obs.Registry
 
 	once    sync.Once
@@ -123,9 +123,6 @@ func (c *Client) init() {
 		if c.Transport == nil {
 			c.Transport = http.DefaultTransport
 		}
-		if c.Metrics == nil {
-			c.Metrics = obs.NewRegistry()
-		}
 		if c.sleep == nil {
 			c.sleep = sleepCtx
 		}
@@ -133,13 +130,17 @@ func (c *Client) init() {
 			c.now = time.Now
 		}
 		c.rng = rand.New(rand.NewSource(int64(c.Seed)))
-		c.inst = &clientInstruments{
-			requests:     c.Metrics.Counter("client_requests_total", "Route calls issued"),
-			attempts:     c.Metrics.Counter("client_attempts_total", "HTTP round trips performed"),
-			retries:      c.Metrics.Counter("client_retries_total", "backoff-then-retry cycles"),
-			fastFails:    c.Metrics.Counter("client_breaker_fastfail_total", "calls rejected instantly by an open breaker"),
-			breakerOpens: c.Metrics.Counter("client_breaker_opens_total", "breaker transitions into open"),
-			breakerState: c.Metrics.Gauge("client_breaker_state", "0 closed, 1 open, 2 half-open"),
+		// Nil instruments are no-ops.
+		c.inst = &clientInstruments{}
+		if m := c.Metrics; m != nil {
+			c.inst = &clientInstruments{
+				requests:     m.Counter("client_requests_total", "Route calls issued"),
+				attempts:     m.Counter("client_attempts_total", "HTTP round trips performed"),
+				retries:      m.Counter("client_retries_total", "backoff-then-retry cycles"),
+				fastFails:    m.Counter("client_breaker_fastfail_total", "calls rejected instantly by an open breaker"),
+				breakerOpens: m.Counter("client_breaker_opens_total", "breaker transitions into open"),
+				breakerState: m.Gauge("client_breaker_state", "0 closed, 1 open, 2 half-open"),
+			}
 		}
 		c.breaker = newBreaker(c.BreakerThreshold, c.BreakerCooldown, c.inst)
 	})

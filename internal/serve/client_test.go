@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // okHandler answers every request 200 with a minimal route body.
@@ -27,11 +29,13 @@ func statusHandler(status int, retryAfter string) http.Handler {
 	})
 }
 
-// breakerState reads the client_breaker_state gauge: 0 closed, 1 open,
+// breakerState reads the client's breaker state: 0 closed, 1 open,
 // 2 half-open.
 func breakerState(c *Client) int64 {
 	c.init()
-	return c.Metrics.Snapshot()["client_breaker_state"].Value
+	c.breaker.mu.Lock()
+	defer c.breaker.mu.Unlock()
+	return c.breaker.state
 }
 
 // recordedSleeps installs a sleep seam that records durations without
@@ -129,6 +133,19 @@ func TestRetriesThenSucceeds(t *testing.T) {
 	}
 }
 
+// TestClientWithoutMetrics: a Client given no registry routes without
+// one; it does not make a private registry that nothing could export.
+func TestClientWithoutMetrics(t *testing.T) {
+	c := &Client{Transport: HandlerTransport(okHandler())}
+	res, err := c.Route(context.Background(), []byte(`{}`))
+	if err != nil || res.Status != 200 {
+		t.Fatalf("Route: %v (status %d)", err, res.Status)
+	}
+	if c.Metrics != nil {
+		t.Fatal("a Client without Metrics made a registry of its own")
+	}
+}
+
 // TestBadRequestIsFinal: 4xx answers are the server speaking clearly —
 // no retry, no breaker damage.
 func TestBadRequestIsFinal(t *testing.T) {
@@ -166,6 +183,7 @@ func TestBreakerTransitions(t *testing.T) {
 		MaxAttempts:      1, // isolate breaker behavior from retries
 		BreakerThreshold: 3,
 		BreakerCooldown:  10 * time.Second,
+		Metrics:          obs.NewRegistry(),
 	}
 	c.now = func() time.Time { return now }
 	recordedSleeps(c)
